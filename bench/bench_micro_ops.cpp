@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths: the
  * vectorized latch-array execution (bits computed per second through the
- * full circuit model), FTL write/GC throughput, and the event-engine
- * scheduling rate.  These measure the *simulator's* host performance,
+ * full circuit model), FTL write/GC throughput, the event-engine
+ * scheduling rate, and transaction-scheduler dispatch over deep
+ * queues.  These measure the *simulator's* host performance,
  * complementing the figure benches that report *simulated* device time.
  */
 
@@ -13,6 +14,7 @@
 #include "flash/latch_array.hpp"
 #include "parabit/device.hpp"
 #include "ssd/event_engine.hpp"
+#include "ssd/sched/scheduler.hpp"
 
 namespace {
 
@@ -115,6 +117,46 @@ BM_EventEngineThroughput(benchmark::State &state)
                             1000);
 }
 BENCHMARK(BM_EventEngineThroughput);
+
+/**
+ * Transaction-scheduler dispatch with a deep queue on one die and its
+ * channel: each iteration submits range(1) reads to one plane at
+ * scattered ready times and drains them, so every arbitration sees up
+ * to range(1) pending entries.  range(0) is the SchedPolicyKind: FCFS
+ * reads only the queue head, out-of-order scans the whole queue.
+ */
+void
+BM_SchedDispatchDeepQueue(benchmark::State &state)
+{
+    using namespace ssd::sched;
+    SchedConfig cfg;
+    cfg.policy = static_cast<SchedPolicyKind>(state.range(0));
+    const auto depth = static_cast<int>(state.range(1));
+    TransactionScheduler sched(flash::FlashGeometry::tiny(),
+                               flash::FlashTiming{}, cfg);
+    Rng rng(11);
+    DeviceTransaction tx;
+    tx.cls = TxClass::kRead;
+    tx.arrayTicks = ticks::fromUs(50);
+    tx.xferOutTicks = ticks::fromUs(20);
+    Tick base = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < depth; ++i) {
+            tx.readyAt = base + rng.below(ticks::fromUs(40) * depth);
+            sched.submit(tx);
+        }
+        base = sched.drain();
+        benchmark::DoNotOptimize(base);
+    }
+    state.SetLabel(policyName(cfg.policy));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            depth);
+}
+BENCHMARK(BM_SchedDispatchDeepQueue)
+    ->ArgsProduct(
+        {{static_cast<int>(ssd::sched::SchedPolicyKind::kFcfs),
+          static_cast<int>(ssd::sched::SchedPolicyKind::kOutOfOrderDieFirst)},
+         {16, 256}});
 
 } // namespace
 

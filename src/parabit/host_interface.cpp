@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "ssd/health.hpp"
 #include "ssd/sched/scheduler.hpp"
@@ -140,6 +141,7 @@ HostInterface::noteFlowStart(std::uint16_t qid, std::uint64_t token, Tick at)
     obs::TraceSink *sink = obs::TraceSink::global();
     if (sink == nullptr)
         return;
+    PROFILE_SCOPE(obs::Subsystem::kObs);
     const obs::TrackId t =
         sink->track("host", "queue " + std::to_string(qid));
     sink->flowStart(t, obs::kNvmeFlowCat, obs::kNvmeFlowName, token, at);
@@ -151,6 +153,7 @@ HostInterface::noteFlowEnd(std::uint16_t qid, std::uint64_t token, Tick at)
     obs::TraceSink *sink = obs::TraceSink::global();
     if (sink == nullptr)
         return;
+    PROFILE_SCOPE(obs::Subsystem::kObs);
     const obs::TrackId t =
         sink->track("host", "queue " + std::to_string(qid));
     sink->flowEnd(t, obs::kNvmeFlowCat, obs::kNvmeFlowName, token, at);
@@ -212,6 +215,7 @@ HostInterface::noteCmdSpan(std::uint16_t qid, const char *name, Tick start,
     obs::TraceSink *sink = obs::TraceSink::global();
     if (sink == nullptr)
         return;
+    PROFILE_SCOPE(obs::Subsystem::kObs);
     const obs::TrackId t =
         sink->track("host", "queue " + std::to_string(qid));
     const std::uint64_t id = nextCmdSpanId_++;

@@ -61,6 +61,24 @@ phaseKindName(PhaseKind k)
 
 namespace {
 
+/** The lowest-seq queue entry offered so far: every out-of-order pick
+ *  breaks ties toward the oldest submission. */
+struct Oldest
+{
+    std::size_t index = kNoPick;
+    std::uint64_t seq = 0;
+
+    void
+    offer(std::size_t i, std::uint64_t s)
+    {
+        if (index == kNoPick || s < seq)
+        {
+            index = i;
+            seq = s;
+        }
+    }
+};
+
 /**
  * Strict per-resource submission order, wait-for-head: the resource
  * serves only its oldest queued entry, idling until that entry becomes
@@ -75,14 +93,10 @@ class FcfsPolicy final : public SchedulerPolicy
     const char *name() const override { return "fcfs"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick) const override
+    pick(const PendingQueue &queue, Tick) const override
     {
-        if (views.empty())
-        {
-            return kNoPick;
-        }
-        // Queue order is submission order; the head is views[0].
-        return views.front().ready ? 0 : kNoPick;
+        // Queue order is submission order; only the head may start.
+        return queue[0].ready ? 0 : kNoPick;
     }
 
     bool preempts(TxClass, TxClass) const override { return false; }
@@ -100,21 +114,18 @@ class OooDieFirstPolicy final : public SchedulerPolicy
     const char *name() const override { return "ooo_die_first"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick) const override
+    pick(const PendingQueue &queue, Tick) const override
     {
-        std::size_t best = kNoPick;
-        for (std::size_t i = 0; i < views.size(); ++i)
+        Oldest best;
+        for (std::size_t i = 0; i < queue.size(); ++i)
         {
-            if (!views[i].ready)
+            const PendingView v = queue[i];
+            if (v.ready)
             {
-                continue;
-            }
-            if (best == kNoPick || views[i].seq < views[best].seq)
-            {
-                best = i;
+                best.offer(i, v.seq);
             }
         }
-        return best;
+        return best.index;
     }
 
     bool preempts(TxClass, TxClass) const override { return false; }
@@ -148,60 +159,48 @@ class ReadPriorityPolicy final : public SchedulerPolicy
     const char *name() const override { return "read_priority"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick now) const override
+    pick(const PendingQueue &queue, Tick now) const override
     {
-        std::size_t forced = kNoPick;
-        std::size_t read = kNoPick;
-        std::size_t any = kNoPick;
-        std::size_t scrub = kNoPick;
-        for (std::size_t i = 0; i < views.size(); ++i)
+        Oldest forced;
+        Oldest read;
+        Oldest any;
+        Oldest scrub;
+        for (std::size_t i = 0; i < queue.size(); ++i)
         {
-            const PendingView &v = views[i];
+            const PendingView v = queue[i];
             if (!v.ready)
             {
                 continue;
             }
             if (v.isResume && now >= v.forceAt)
             {
-                if (forced == kNoPick || v.seq < views[forced].seq)
-                {
-                    forced = i;
-                }
+                forced.offer(i, v.seq);
             }
             if (v.cls == TxClass::kRead)
             {
-                if (read == kNoPick || v.seq < views[read].seq)
-                {
-                    read = i;
-                }
+                read.offer(i, v.seq);
             }
             if (v.cls == TxClass::kScrub && !v.isResume &&
                 now < v.earliest + scrubMaxDeferred_)
             {
-                if (scrub == kNoPick || v.seq < views[scrub].seq)
-                {
-                    scrub = i;
-                }
+                scrub.offer(i, v.seq);
                 continue;
             }
-            if (any == kNoPick || v.seq < views[any].seq)
-            {
-                any = i;
-            }
+            any.offer(i, v.seq);
         }
-        if (forced != kNoPick)
+        if (forced.index != kNoPick)
         {
-            return forced;
+            return forced.index;
         }
-        if (read != kNoPick)
+        if (read.index != kNoPick)
         {
-            return read;
+            return read.index;
         }
-        if (any != kNoPick)
+        if (any.index != kNoPick)
         {
-            return any;
+            return any.index;
         }
-        return scrub;
+        return scrub.index;
     }
 
     bool

@@ -7,9 +7,15 @@
  * which entry starts next? — plus whether an arriving entry preempts
  * the array operation currently running on that resource.
  *
- * Determinism: a policy sees only the queue snapshot and the current
- * tick, and ties always break toward the lowest submission sequence
- * number, so repeated runs pick identical schedules.
+ * Cost: the policy reads the resource's queue in place through a
+ * PendingQueue, which builds a PendingView only for the entries the
+ * policy asks for.  FCFS reads just the head, so its pick is O(1) at
+ * any queue depth; the out-of-order policies scan the queue once,
+ * O(queue), and allocate nothing.
+ *
+ * Determinism: a policy sees only the queue and the current tick, and
+ * ties always break toward the lowest submission sequence number, so
+ * repeated runs pick identical schedules.
  */
 
 #ifndef PARABIT_SSD_SCHED_POLICY_HPP_
@@ -18,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/units.hpp"
 #include "ssd/sched/sched_config.hpp"
@@ -50,6 +55,22 @@ struct PendingView
 /** Sentinel: no entry may start now. */
 inline constexpr std::size_t kNoPick = static_cast<std::size_t>(-1);
 
+/**
+ * One resource's queue as a policy reads it: entries in queue order
+ * (submission order, except that a suspended remainder re-queues at
+ * the back).  Each operator[] builds that entry's view on demand from
+ * the scheduler's state; nothing is copied up front.
+ */
+class PendingQueue
+{
+  public:
+    virtual std::size_t size() const = 0;
+    virtual PendingView operator[](std::size_t i) const = 0;
+
+  protected:
+    ~PendingQueue() = default;
+};
+
 class SchedulerPolicy
 {
   public:
@@ -58,13 +79,13 @@ class SchedulerPolicy
     virtual const char *name() const = 0;
 
     /**
-     * Choose the index of the entry to start on an idle resource, or
-     * kNoPick to leave the resource idle (e.g. FCFS waiting for a
-     * not-yet-ready head of line).  `views` lists the resource's queue
-     * in submission order.
+     * Choose the index into @p queue of the entry to start on an idle
+     * resource, or kNoPick to leave the resource idle (e.g. FCFS
+     * waiting for a not-yet-ready head of line).  @p queue is never
+     * empty.  Read only the entries the decision needs: each read
+     * builds a view.
      */
-    virtual std::size_t pick(const std::vector<PendingView> &views,
-                             Tick now) const = 0;
+    virtual std::size_t pick(const PendingQueue &queue, Tick now) const = 0;
 
     /**
      * Whether an arriving ready entry of class `incoming` suspends the

@@ -7,6 +7,33 @@
 
 namespace parabit::ssd::sched {
 
+/** One resource's queue as its policy reads it: each view is built
+ *  from the queued phase's record on demand. */
+class TransactionScheduler::QueueView final : public PendingQueue
+{
+  public:
+    QueueView(const TransactionScheduler &s, const Resource &r)
+        : s_(s), r_(r)
+    {
+    }
+
+    std::size_t size() const override { return r_.q.size(); }
+
+    PendingView
+    operator[](std::size_t i) const override
+    {
+        const QEntry &e = r_.q[i];
+        const TxState &st = s_.txs_[e.txIdx];
+        const Phase &ph = s_.phases_[e.phaseIdx];
+        return {st.id,       st.tx.cls,  ph.kind,   ph.ready,
+                ph.earliest, ph.resume, st.forceAt};
+    }
+
+  private:
+    const TransactionScheduler &s_;
+    const Resource &r_;
+};
+
 TransactionScheduler::TransactionScheduler(
     const flash::FlashGeometry &geometry, const flash::FlashTiming &timing,
     const SchedConfig &cfg)
@@ -99,17 +126,17 @@ TransactionScheduler::noteSpan(std::size_t res, TxState &st,
     }
     if (sink_ != nullptr)
     {
+        PROFILE_SCOPE(obs::Subsystem::kObs);
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
                     {{"tx", std::to_string(st.id), false},
                      {"class", txClassName(st.tx.cls), true}});
-        const auto it = cmdOf_.find(st.id);
-        if (it != cmdOf_.end())
+        if (st.cmd)
         {
             // The step lands exactly on the span's start ts, which is
             // what binds the command's flow to this span in Perfetto
             // (and what the flow-linkage check verifies).
             sink_->flowStep(resourceTracks_[res], obs::kNvmeFlowCat,
-                            obs::kNvmeFlowName, it->second, start);
+                            obs::kNvmeFlowName, *st.cmd, start);
         }
     }
 }
@@ -129,7 +156,7 @@ TransactionScheduler::arrayResource(const flash::PhysPageAddr &a) const
 }
 
 void
-TransactionScheduler::buildPhases(TxState &st) const
+TransactionScheduler::buildPhases(TxState &st)
 {
     const DeviceTransaction &tx = st.tx;
     const std::size_t ch = channelResource(tx.addr.channel);
@@ -138,22 +165,24 @@ TransactionScheduler::buildPhases(TxState &st) const
     // xfer-out (zero-duration phases are elided).  Reads have no
     // xfer-in, programs/erases no xfer-out, so this reproduces the
     // class-specific legacy reserve() sequences exactly.
+    st.phaseBegin = phases_.size();
     if (cfg_.cmdOnChannel && tx.cmdTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kCmd, ch, tx.cmdTicks});
+        phases_.push_back({PhaseKind::kCmd, ch, tx.cmdTicks});
     }
     if (tx.xferInTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kXferIn, ch, tx.xferInTicks});
+        phases_.push_back({PhaseKind::kXferIn, ch, tx.xferInTicks});
     }
     if (tx.arrayTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kArray, die, tx.arrayTicks});
+        phases_.push_back({PhaseKind::kArray, die, tx.arrayTicks});
     }
     if (tx.xferOutTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kXferOut, ch, tx.xferOutTicks});
+        phases_.push_back({PhaseKind::kXferOut, ch, tx.xferOutTicks});
     }
+    st.phaseEnd = phases_.size();
 }
 
 Tick
@@ -175,43 +204,35 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
     if (!batchOpen_)
     {
         // First submit after a drain: discard the previous batch's
-        // records and completion map (callers must have flushed any
-        // group queries by now) so memory stays bounded.
-        txs_.clear();
-        completions_.clear();
-        trace_.clear();
-        // Command tags refer to batch-local tx ids; stage aggregates in
+        // records and completions (callers must have flushed any group
+        // queries by now) so memory stays bounded; the vectors keep
+        // their capacity for the next batch.  Stage aggregates in
         // cmdStages_ survive (a formula command spans several drains).
-        cmdOf_.clear();
+        txs_.clear();
+        phases_.clear();
+        trace_.clear();
+        batchFirstId_ = nextId_;
         batchOpen_ = true;
     }
-    TxState st;
-    st.tx = tx;
-    st.id = nextId_++;
-    if (curCmd_)
-    {
-        cmdOf_[st.id] = *curCmd_;
-    }
-    buildPhases(st);
+    const std::size_t txIdx = txs_.size();
+    TxState &added = txs_.emplace_back();
+    added.tx = tx;
+    added.id = nextId_++;
+    added.cmd = curCmd_;
+    buildPhases(added);
     ++submitted_;
 
-    const std::size_t txIdx = txs_.size();
-    txs_.push_back(std::move(st));
-    TxState &added = txs_.back();
-    if (added.phases.empty())
+    if (added.phaseBegin == added.phaseEnd)
     {
         // Pure delay (all phase durations zero): completes without
         // touching any resource.
         finishTx(added, firstEarliest(added));
         return added.id;
     }
-    for (std::size_t p = 0; p < added.phases.size(); ++p)
+    for (std::size_t p = added.phaseBegin; p < added.phaseEnd; ++p)
     {
-        Resource &r = resources_[added.phases[p].resource];
-        QEntry e;
-        e.txIdx = txIdx;
-        e.phaseIdx = p;
-        r.q.push_back(e);
+        Resource &r = resources_[phases_[p].resource];
+        r.q.push_back({txIdx, p});
         maxQueueDepth_.noteMax(static_cast<double>(r.q.size()));
     }
     return added.id;
@@ -248,15 +269,18 @@ TransactionScheduler::drain()
     eng_ = &eng;
     for (std::size_t i = 0; i < txs_.size(); ++i)
     {
-        TxState &st = txs_[i];
-        if (st.done || st.phases.empty())
+        const TxState &st = txs_[i];
+        if (st.done)
         {
             continue;
         }
-        const std::size_t res = st.phases[0].resource;
-        const Tick earliest = firstEarliest(st);
-        eng.schedule(earliest,
-                     [this, res, i, earliest] { markReady(res, i, 0, earliest); });
+        // Captures stay within std::function's small-object buffer
+        // (two pointers in libstdc++), so scheduling never allocates.
+        const auto ready = [this, i] {
+            markReady(i, txs_[i].phaseBegin, firstEarliest(txs_[i]));
+        };
+        static_assert(sizeof(ready) <= 2 * sizeof(void *));
+        eng.schedule(firstEarliest(st), ready);
     }
     eng.run();
     eng_ = nullptr;
@@ -281,21 +305,19 @@ TransactionScheduler::drain()
 }
 
 void
-TransactionScheduler::markReady(std::size_t res, std::size_t txIdx,
-                                std::size_t phaseIdx, Tick earliest)
+TransactionScheduler::markReady(std::size_t txIdx, std::size_t phaseIdx,
+                                Tick earliest)
 {
-    Resource &r = resources_[res];
-    for (QEntry &e : r.q)
+    // A phase waits in its queue, not yet ready, from submit until its
+    // predecessor finishes; a ready phase has been marked already.
+    if (phaseIdx >= txs_[txIdx].phaseEnd || phases_[phaseIdx].ready)
     {
-        if (e.txIdx == txIdx && e.phaseIdx == phaseIdx && !e.isResume)
-        {
-            e.ready = true;
-            e.earliest = earliest;
-            dispatch(res);
-            return;
-        }
+        panic("TransactionScheduler::markReady: phase entry not queued");
     }
-    panic("TransactionScheduler::markReady: phase entry not queued");
+    Phase &ph = phases_[phaseIdx];
+    ph.ready = true;
+    ph.earliest = earliest;
+    dispatch(ph.resource);
 }
 
 void
@@ -311,27 +333,12 @@ TransactionScheduler::dispatch(std::size_t res)
     {
         return;
     }
-    std::vector<PendingView> views;
-    views.reserve(r.q.size());
-    for (const QEntry &e : r.q)
-    {
-        const TxState &st = txs_[e.txIdx];
-        PendingView v;
-        v.seq = st.id;
-        v.cls = st.tx.cls;
-        v.kind = st.phases[e.phaseIdx].kind;
-        v.ready = e.ready;
-        v.earliest = e.earliest;
-        v.isResume = e.isResume;
-        v.forceAt = st.forceAt;
-        views.push_back(v);
-    }
-    const std::size_t pick = policy_->pick(views, eng_->now());
+    const std::size_t pick = policy_->pick(QueueView(*this, r), eng_->now());
     if (pick == kNoPick)
     {
         return;
     }
-    if (pick >= r.q.size() || !r.q[pick].ready)
+    if (pick >= r.q.size() || !phases_[r.q[pick].phaseIdx].ready)
     {
         panic("TransactionScheduler::dispatch: policy picked an entry "
               "that cannot start");
@@ -344,12 +351,14 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
 {
     Resource &r = resources_[res];
     const QEntry e = r.q[qIdx];
+    // A head pick (every FCFS pick) is an O(1) pop of the deque; only
+    // out-of-order picks shift entries.
     r.q.erase(r.q.begin() + static_cast<std::ptrdiff_t>(qIdx));
 
-    const TxState &st = txs_[e.txIdx];
-    const Tick payload =
-        e.isResume ? e.resumeRemaining : st.phases[e.phaseIdx].duration;
-    const Tick overhead = e.isResume ? timing_.tResume : 0;
+    TxState &st = txs_[e.txIdx];
+    const Phase &ph = phases_[e.phaseIdx];
+    const Tick payload = ph.resume ? ph.remaining : ph.duration;
+    const Tick overhead = ph.resume ? timing_.tResume : 0;
 
     Running run;
     run.txIdx = e.txIdx;
@@ -357,22 +366,27 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
     run.gen = ++r.gen;
     // Logical booking start: never the engine clock — resource free
     // times persist across drains while the engine restarts at zero.
-    run.start = std::max(e.earliest, r.tl.nextFree());
+    run.start = std::max(ph.earliest, r.tl.nextFree());
     run.payloadStart = run.start + overhead;
     run.plannedEnd = run.payloadStart + payload;
-    run.isResume = e.isResume;
+    run.isResume = ph.resume;
     // Queue wait: how long the phase sat ready but unserved (resource
     // contention / arbitration), as opposed to booked work time.
-    txs_[e.txIdx].stages.queueWait += run.start - e.earliest;
+    st.stages.queueWait += run.start - ph.earliest;
     r.busy = true;
     r.running = run;
 
-    const std::uint64_t gen = run.gen;
-    eng_->schedule(run.plannedEnd, [this, res, gen] { onComplete(res, gen); });
+    // Both captures fit std::function's small-object buffer (see
+    // drain); a 32-bit generation only wraps after 2^32 bookings on one
+    // resource while a stale event is pending.
+    const auto complete = [this, res = static_cast<std::uint32_t>(res),
+                           gen = run.gen] { onComplete(res, gen); };
+    static_assert(sizeof(complete) <= 2 * sizeof(void *));
+    eng_->schedule(run.plannedEnd, complete);
 }
 
 void
-TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
+TransactionScheduler::onComplete(std::uint32_t res, std::uint32_t gen)
 {
     Resource &r = resources_[res];
     if (!r.busy || r.running.gen != gen)
@@ -383,7 +397,7 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
     r.busy = false;
 
     TxState &st = txs_[run.txIdx];
-    const Phase &ph = st.phases[run.phaseIdx];
+    const Phase &ph = phases_[run.phaseIdx];
     r.tl.reserve(run.start, run.plannedEnd - run.start);
 
     if (run.isResume)
@@ -396,11 +410,10 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
         st.arrayExecuted += run.plannedEnd - run.payloadStart;
     }
 
-    st.nextPhase = run.phaseIdx + 1;
-    if (st.nextPhase < st.phases.size())
+    const std::size_t next = run.phaseIdx + 1;
+    if (next < st.phaseEnd)
     {
-        const std::size_t nextRes = st.phases[st.nextPhase].resource;
-        markReady(nextRes, run.txIdx, st.nextPhase, run.plannedEnd);
+        markReady(run.txIdx, next, run.plannedEnd);
     }
     else
     {
@@ -415,7 +428,7 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     Resource &r = resources_[res];
     const Running run = r.running;
     TxState &st = txs_[run.txIdx];
-    const Phase &ph = st.phases[run.phaseIdx];
+    const Phase &ph = phases_[run.phaseIdx];
     const Tick now = eng_->now();
 
     if (ph.kind != PhaseKind::kArray || !st.tx.suspendable())
@@ -436,7 +449,8 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     bool wanted = false;
     for (const QEntry &e : r.q)
     {
-        if (e.ready && policy_->preempts(txs_[e.txIdx].tx.cls, st.tx.cls))
+        if (phases_[e.phaseIdx].ready &&
+            policy_->preempts(txs_[e.txIdx].tx.cls, st.tx.cls))
         {
             wanted = true;
             break;
@@ -470,15 +484,12 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     }
     noteSpan(res, st, PhaseKind::kSuspend, now, now + timing_.tSuspend);
 
-    QEntry e;
-    e.txIdx = run.txIdx;
-    e.phaseIdx = run.phaseIdx;
-    e.ready = true;
-    e.earliest = now + timing_.tSuspend;
-    e.isResume = true;
-    e.resumeRemaining = remaining;
+    Phase &parked = phases_[run.phaseIdx];
+    parked.earliest = now + timing_.tSuspend;
+    parked.resume = true;
+    parked.remaining = remaining;
     r.busy = false;
-    r.q.push_back(e);
+    r.q.push_back({run.txIdx, run.phaseIdx});
 
     dispatch(res);
 }
@@ -488,12 +499,10 @@ TransactionScheduler::finishTx(TxState &st, Tick end)
 {
     st.done = true;
     st.complete = end;
-    completions_[st.id] = end;
     ++completedCount_;
-    const auto cmd = cmdOf_.find(st.id);
-    if (cmd != cmdOf_.end())
+    if (st.cmd)
     {
-        StageTicks &agg = cmdStages_[cmd->second];
+        StageTicks &agg = cmdStages_[*st.cmd];
         agg.add(st.stages);
         ++agg.txCount;
     }
@@ -523,13 +532,14 @@ TransactionScheduler::takeCommandStages(std::uint64_t token)
 Tick
 TransactionScheduler::completionOf(std::uint64_t id) const
 {
-    auto it = completions_.find(id);
-    if (it == completions_.end())
+    // Batch ids are contiguous from batchFirstId_.
+    if (id < batchFirstId_ || id - batchFirstId_ >= txs_.size() ||
+        !txs_[id - batchFirstId_].done)
     {
         panic("TransactionScheduler::completionOf: unknown transaction "
               "(batch already discarded? drain before querying)");
     }
-    return it->second;
+    return txs_[id - batchFirstId_].complete;
 }
 
 Tick
@@ -621,11 +631,13 @@ TransactionScheduler::auditInvariants(InvariantReport &r) const
                "submitted " + std::to_string(submitted_.value()) +
                    " != completed " +
                    std::to_string(completedCount_.value()));
-    if (!r.check(completions_.size() == txs_.size()))
+    const auto completed = static_cast<std::size_t>(
+        std::count_if(txs_.begin(), txs_.end(),
+                      [](const TxState &st) { return st.done; }));
+    if (!r.check(completed == txs_.size()))
         r.fail("sched.queue.accounting", "last batch",
                std::to_string(txs_.size()) + " transactions but " +
-                   std::to_string(completions_.size()) +
-                   " completion entries");
+                   std::to_string(completed) + " completed");
 
     // sched.work.conservation: suspend-resume never loses or invents
     // array work, and nothing completes before it was ready.

@@ -21,6 +21,13 @@
  * Timeline only when its completion — or suspension — actually happens,
  * so a program/erase array phase can be cut short.  Completion events
  * carry a generation tag and are ignored once stale.
+ *
+ * Hot path: a resource queue holds only (transaction, phase) indices;
+ * readiness, earliest start and resume state live on the phase record,
+ * so marking a phase ready is O(1).  The policy reads the queue in
+ * place (see policy.hpp).  Once the batch vectors (transactions and
+ * their phases) have grown, neither an event nor a transaction
+ * allocates.
  */
 
 #ifndef PARABIT_SSD_SCHED_SCHEDULER_HPP_
@@ -130,7 +137,7 @@ class TransactionScheduler
     /**
      * Queue @p tx for the next drain().  @return its id.  The first
      * submit after a drain starts a new batch and discards the previous
-     * batch's completion map and records.
+     * batch's completions and records.
      */
     std::uint64_t submit(const DeviceTransaction &tx);
 
@@ -203,7 +210,7 @@ class TransactionScheduler
      *  - sched.queue.drained: no residual queue entries or running
      *    bookings survive a drain;
      *  - sched.queue.accounting: lifetime submitted == completed and
-     *    the last batch's completion map covers every transaction;
+     *    every transaction of the last batch has completed;
      *  - sched.work.conservation: every transaction's executed array
      *    time equals its planned array time (suspend-resume conserves
      *    work) and it completed no earlier than it became ready;
@@ -222,43 +229,57 @@ class TransactionScheduler
     /// @}
 
   private:
-    /** One phase booking request against a specific resource. */
+    /**
+     * One phase booking request against a specific resource, plus its
+     * queue state.  A phase waits in its resource's queue from submit
+     * until it starts; it becomes ready once every earlier phase of
+     * its transaction has finished.  A suspended array phase re-queues
+     * as a ready resume entry for its remaining work.
+     */
     struct Phase
     {
         PhaseKind kind = PhaseKind::kArray;
         std::size_t resource = 0; ///< index into resources_
         Tick duration = 0;
+        bool ready = false;
+        bool resume = false; ///< parked remainder of a suspension
+        Tick earliest = 0;   ///< earliest start, once ready
+        Tick remaining = 0;  ///< resume only: array work left
     };
 
     struct TxState
     {
         DeviceTransaction tx;
         std::uint64_t id = 0;
-        std::vector<Phase> phases;
-        std::size_t nextPhase = 0;
+        /** Its phases, in order: phases_[phaseBegin, phaseEnd). */
+        std::size_t phaseBegin = 0;
+        std::size_t phaseEnd = 0;
         Tick complete = 0;
         Tick arrayExecuted = 0;
         int suspends = 0;
         Tick forceAt = 0; ///< set at first suspension
         bool done = false;
         StageTicks stages; ///< where this transaction's ticks went
+        /** Attribution token of the host command it serves, if any. */
+        std::optional<std::uint64_t> cmd;
     };
 
+    /** A queued phase: everything else is on its Phase record. */
     struct QEntry
     {
         std::size_t txIdx = 0;
-        std::size_t phaseIdx = 0;
-        bool ready = false;
-        Tick earliest = 0;
-        bool isResume = false;
-        Tick resumeRemaining = 0;
+        std::size_t phaseIdx = 0; ///< index into phases_
     };
+
+    class QueueView;
 
     struct Running
     {
         std::size_t txIdx = 0;
-        std::size_t phaseIdx = 0;
-        std::uint64_t gen = 0;
+        std::size_t phaseIdx = 0; ///< index into phases_
+        /** Booking generation; 32 bits keep the completion event's
+         *  capture small enough not to allocate (see startEntry). */
+        std::uint32_t gen = 0;
         Tick start = 0;        ///< booking start (incl. resume overhead)
         Tick payloadStart = 0; ///< where actual array/transfer work begins
         Tick plannedEnd = 0;
@@ -271,7 +292,7 @@ class TransactionScheduler
         std::deque<QEntry> q;
         bool busy = false;
         Running running;
-        std::uint64_t gen = 0;
+        std::uint32_t gen = 0;
         bool onChannel = false;
         std::uint32_t index = 0; ///< channel or array-resource ordinal
     };
@@ -288,14 +309,13 @@ class TransactionScheduler
     void noteSpan(std::size_t res, TxState &st, PhaseKind kind,
                   Tick start, Tick end);
 
-    void buildPhases(TxState &st) const;
+    void buildPhases(TxState &st);
     Tick firstEarliest(const TxState &st) const;
 
-    void markReady(std::size_t res, std::size_t txIdx, std::size_t phaseIdx,
-                   Tick earliest);
+    void markReady(std::size_t txIdx, std::size_t phaseIdx, Tick earliest);
     void dispatch(std::size_t res);
     void startEntry(std::size_t res, std::size_t qIdx);
-    void onComplete(std::size_t res, std::uint64_t gen);
+    void onComplete(std::uint32_t res, std::uint32_t gen);
     void maybeSuspend(std::size_t res);
     void finishTx(TxState &st, Tick end);
 
@@ -306,7 +326,8 @@ class TransactionScheduler
 
     std::vector<Resource> resources_; ///< channels first, then planes
     std::vector<TxState> txs_;        ///< current batch
-    std::unordered_map<std::uint64_t, Tick> completions_;
+    std::vector<Phase> phases_;       ///< current batch, by transaction
+    std::uint64_t batchFirstId_ = 0;  ///< id of txs_[0]
     std::vector<SampleSeries> latency_; ///< one per TxClass
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
     std::vector<TraceEntry> trace_;
@@ -319,8 +340,6 @@ class TransactionScheduler
     bool batchOpen_ = false;
 
     std::optional<std::uint64_t> curCmd_; ///< open attribution bracket
-    /** tx id -> command token, for the current batch. */
-    std::unordered_map<std::uint64_t, std::uint64_t> cmdOf_;
     /** command token -> aggregated stages (until takeCommandStages). */
     std::unordered_map<std::uint64_t, StageTicks> cmdStages_;
 
