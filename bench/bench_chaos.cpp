@@ -19,15 +19,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "parabit/host_interface.hpp"
 #include "ssd/fault_injector.hpp"
@@ -290,50 +289,50 @@ main(int argc, char **argv)
                 "transitions, and full recovery");
 
     if (!json_path.empty()) {
-        std::ostringstream os;
-        os << "{\n  \"schema_version\": 1,\n"
-           << "  \"tool\": \"bench_chaos\",\n"
-           << "  \"config\": {\"seeds\": " << seeds
-           << ", \"queues\": " << kQueues << ", \"depth\": " << kDepth
-           << ", \"preloaded_lpns\": " << kPreloadedLpns
-           << ", \"audit_interval\": " << obs.auditInterval << "},\n"
-           << "  \"seeds\": " << seeds << ",\n"
-           << "  \"commands_submitted\": " << sum.submitted << ",\n"
-           << "  \"commands_lost\": " << sum.lost << ",\n"
-           << "  \"admission_sheds\": " << sum.sheds << ",\n"
-           << "  \"watchdog_timeouts\": " << sum.timeouts << ",\n"
-           << "  \"bounded_requeues\": " << sum.requeues << ",\n"
-           << "  \"readonly_write_rejects\": " << sum.writeRejects << ",\n"
-           << "  \"health_transitions\": " << sum.transitions << ",\n"
-           << "  \"deepest_state\": " << deepest << ",\n"
-           << "  \"all_transitions_one_step\": "
-           << (sum.monotone ? "true" : "false") << ",\n"
-           << "  \"all_recovered\": "
-           << (sum.recovered ? "true" : "false") << ",\n  \"rows\": [";
+        json::Writer w;
+        w.beginObject();
+        w.field("schema_version", 1);
+        w.field("tool", "bench_chaos");
+        w.key("config").beginObject();
+        w.field("seeds", seeds);
+        w.field("queues", kQueues);
+        w.field("depth", kDepth);
+        w.field("preloaded_lpns", kPreloadedLpns);
+        w.field("audit_interval", obs.auditInterval);
+        w.endObject();
+        w.field("seeds", seeds);
+        w.field("commands_submitted", sum.submitted);
+        w.field("commands_lost", sum.lost);
+        w.field("admission_sheds", sum.sheds);
+        w.field("watchdog_timeouts", sum.timeouts);
+        w.field("bounded_requeues", sum.requeues);
+        w.field("readonly_write_rejects", sum.writeRejects);
+        w.field("health_transitions", sum.transitions);
+        w.field("deepest_state", deepest);
+        w.field("all_transitions_one_step", sum.monotone);
+        w.field("all_recovered", sum.recovered);
+        w.key("rows").beginArray();
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const RunOut &r = rows[i];
-            os << (i ? "," : "") << "\n    {\n"
-               << "      \"seed\": " << i << ",\n"
-               << "      \"submitted\": " << r.submitted << ",\n"
-               << "      \"lost\": " << r.lost << ",\n"
-               << "      \"sheds\": " << r.sheds << ",\n"
-               << "      \"timeouts\": " << r.timeouts << ",\n"
-               << "      \"requeues\": " << r.requeues << ",\n"
-               << "      \"write_rejects\": " << r.writeRejects << ",\n"
-               << "      \"transitions\": " << r.transitions << ",\n"
-               << "      \"max_state\": " << r.maxState << ",\n"
-               << "      \"quiet_rounds\": " << r.quietRounds << ",\n"
-               << "      \"recovered\": "
-               << (r.recovered ? "true" : "false") << ",\n"
-               << "      \"wall_sec\": " << r.wallSec << "\n    }";
+            w.beginObject();
+            w.field("seed", i);
+            w.field("submitted", r.submitted);
+            w.field("lost", r.lost);
+            w.field("sheds", r.sheds);
+            w.field("timeouts", r.timeouts);
+            w.field("requeues", r.requeues);
+            w.field("write_rejects", r.writeRejects);
+            w.field("transitions", r.transitions);
+            w.field("max_state", r.maxState);
+            w.field("quiet_rounds", r.quietRounds);
+            w.field("recovered", r.recovered);
+            w.field("wall_sec", r.wallSec);
+            w.endObject();
         }
-        os << "\n  ]\n}\n";
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        w.endArray();
+        w.endObject();
+        if (!json::writeFile(json_path, w.str()))
             return 2;
-        }
-        out << os.str();
     }
 
     // One extra traced run so the health state spans and per-command

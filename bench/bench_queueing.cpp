@@ -23,13 +23,13 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
@@ -143,12 +143,15 @@ runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
 
     PolicyOutcome out;
     out.name = sch.policyName();
-    const SampleSeries &rd = sch.latencySeries(TxClass::kRead);
-    out.readP50Us = ticks::toUs(static_cast<Tick>(rd.percentile(50)));
-    out.readP99Us = ticks::toUs(static_cast<Tick>(rd.percentile(99)));
-    out.readMeanUs = ticks::toUs(static_cast<Tick>(rd.mean()));
-    const SampleSeries &pb = sch.latencySeries(TxClass::kParaBit);
-    out.parabitP99Us = ticks::toUs(static_cast<Tick>(pb.percentile(99)));
+    const ssd::sched::ClassLatency &rd = sch.latency(TxClass::kRead);
+    out.readP50Us =
+        ticks::toUs(static_cast<Tick>(rd.quantiles.quantile(0.50)));
+    out.readP99Us =
+        ticks::toUs(static_cast<Tick>(rd.quantiles.quantile(0.99)));
+    out.readMeanUs = ticks::toUs(static_cast<Tick>(rd.scalar.mean()));
+    const ssd::sched::ClassLatency &pb = sch.latency(TxClass::kParaBit);
+    out.parabitP99Us =
+        ticks::toUs(static_cast<Tick>(pb.quantiles.quantile(0.99)));
 
     const ssd::sched::SchedStats stats = sch.stats();
     out.suspends = stats.suspends;
@@ -172,43 +175,40 @@ runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
 void
 writeJson(const std::string &path, const std::vector<PolicyOutcome> &outs)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "bench_queueing: cannot write " << path << "\n";
-        return;
+    json::Writer w;
+    w.beginObject();
+    w.field("tool", "bench_queueing");
+    w.key("policies").beginArray();
+    for (const PolicyOutcome &o : outs) {
+        w.beginObject();
+        w.field("policy", o.name);
+        w.field("read_p50_us", o.readP50Us);
+        w.field("read_p99_us", o.readP99Us);
+        w.field("read_mean_us", o.readMeanUs);
+        w.field("parabit_p99_us", o.parabitP99Us);
+        w.field("suspends", o.suspends);
+        w.field("max_queue_depth", o.maxQueueDepth);
+        w.field("avg_channel_util", o.avgChannelUtil);
+        w.field("avg_die_util", o.avgDieUtil);
+        w.key("channel_util").beginArray();
+        for (double u : o.channelUtil)
+            w.value(u);
+        w.endArray();
+        w.key("die_util").beginArray();
+        for (double u : o.dieUtil)
+            w.value(u);
+        w.endArray();
+        w.endObject();
     }
-    auto vec = [&os](const std::vector<double> &v) {
-        os << "[";
-        for (std::size_t i = 0; i < v.size(); ++i)
-            os << (i ? ", " : "") << v[i];
-        os << "]";
-    };
-    os << "{\n  \"tool\": \"bench_queueing\",\n  \"policies\": [";
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-        const PolicyOutcome &o = outs[i];
-        os << (i ? "," : "") << "\n    {\n"
-           << "      \"policy\": \"" << o.name << "\",\n"
-           << "      \"read_p50_us\": " << o.readP50Us << ",\n"
-           << "      \"read_p99_us\": " << o.readP99Us << ",\n"
-           << "      \"read_mean_us\": " << o.readMeanUs << ",\n"
-           << "      \"parabit_p99_us\": " << o.parabitP99Us << ",\n"
-           << "      \"suspends\": " << o.suspends << ",\n"
-           << "      \"max_queue_depth\": " << o.maxQueueDepth << ",\n"
-           << "      \"avg_channel_util\": " << o.avgChannelUtil << ",\n"
-           << "      \"avg_die_util\": " << o.avgDieUtil << ",\n"
-           << "      \"channel_util\": ";
-        vec(o.channelUtil);
-        os << ",\n      \"die_util\": ";
-        vec(o.dieUtil);
-        os << "\n    }";
-    }
-    os << "\n  ],\n  \"read_p99_ratio_vs_fcfs\": {";
-    for (std::size_t i = 1; i < outs.size(); ++i) {
-        os << (i > 1 ? ", " : "") << "\"" << outs[i].name << "\": "
-           << (outs[0].readP99Us > 0 ? outs[i].readP99Us / outs[0].readP99Us
-                                     : 0.0);
-    }
-    os << "}\n}\n";
+    w.endArray();
+    w.key("read_p99_ratio_vs_fcfs").beginObject();
+    for (std::size_t i = 1; i < outs.size(); ++i)
+        w.field(outs[i].name, outs[0].readP99Us > 0
+                                  ? outs[i].readP99Us / outs[0].readP99Us
+                                  : 0.0);
+    w.endObject();
+    w.endObject();
+    (void)json::writeFile(path, w.str());
 }
 
 } // namespace

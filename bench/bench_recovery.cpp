@@ -17,13 +17,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "ssd/ssd.hpp"
 
@@ -206,33 +205,29 @@ main(int argc, char **argv)
                 "for a smaller scan set and shorter journal replay");
 
     if (!json_path.empty()) {
-        std::ostringstream os;
-        os << "{\n  \"tool\": \"bench_recovery\",\n  \"rows\": [";
+        json::Writer w;
+        w.beginObject();
+        w.field("tool", "bench_recovery");
+        w.key("rows").beginArray();
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const RunOut &r = rows[i];
-            os << (i ? "," : "") << "\n    {\n"
-               << "      \"checkpoint_interval\": " << kIntervals[i]
-               << ",\n"
-               << "      \"write_us\": " << r.writeUs << ",\n"
-               << "      \"write_us_baseline\": " << off.writeUs << ",\n"
-               << "      \"journal_records\": " << r.journalWrites << ",\n"
-               << "      \"checkpoints\": " << r.checkpoints << ",\n"
-               << "      \"oob_pages_scanned\": " << r.pagesScanned
-               << ",\n"
-               << "      \"checkpoint_pages_read\": " << r.ckptPagesRead
-               << ",\n"
-               << "      \"journal_replayed\": " << r.journalReplayed
-               << ",\n"
-               << "      \"mappings_rebuilt\": " << r.rebuilt << ",\n"
-               << "      \"recovery_us\": " << r.scanUs << "\n    }";
+            w.beginObject();
+            w.field("checkpoint_interval", kIntervals[i]);
+            w.field("write_us", r.writeUs);
+            w.field("write_us_baseline", off.writeUs);
+            w.field("journal_records", r.journalWrites);
+            w.field("checkpoints", r.checkpoints);
+            w.field("oob_pages_scanned", r.pagesScanned);
+            w.field("checkpoint_pages_read", r.ckptPagesRead);
+            w.field("journal_replayed", r.journalReplayed);
+            w.field("mappings_rebuilt", r.rebuilt);
+            w.field("recovery_us", r.scanUs);
+            w.endObject();
         }
-        os << "\n  ]\n}\n";
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        w.endArray();
+        w.endObject();
+        if (!json::writeFile(json_path, w.str()))
             return 2;
-        }
-        out << os.str();
     }
     return obs.finish() ? 0 : 2;
 }

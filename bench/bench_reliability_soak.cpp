@@ -20,14 +20,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "ssd/ssd.hpp"
 
@@ -273,41 +272,42 @@ main(int argc, char **argv)
                 "uncorrectable and zero mismatches");
 
     if (!json_path.empty()) {
-        std::ostringstream os;
-        os << "{\n  \"schema_version\": 1,\n"
-           << "  \"tool\": \"bench_reliability_soak\",\n"
-           << "  \"config\": {\"seeds\": " << seeds
-           << ", \"steps\": " << kSteps << ", \"hot_lpns\": " << kHotLpns
-           << ", \"audit_interval\": " << obs.auditInterval << "},\n"
-           << "  \"seeds\": " << seeds << ",\n"
-           << "  \"sim_ops_per_sec\": " << ops_per_sec << ",\n"
-           << "  \"scrub_share_pct\": " << scrub_pct << ",\n"
-           << "  \"uncorrectable_after_rebuild\": " << sum.uncorrectable
-           << ",\n"
-           << "  \"oracle_mismatches\": " << sum.mismatches << ",\n"
-           << "  \"all_recovered\": "
-           << (sum.recovered ? "true" : "false") << ",\n  \"rows\": [";
+        json::Writer w;
+        w.beginObject();
+        w.field("schema_version", 1);
+        w.field("tool", "bench_reliability_soak");
+        w.key("config").beginObject();
+        w.field("seeds", seeds);
+        w.field("steps", kSteps);
+        w.field("hot_lpns", kHotLpns);
+        w.field("audit_interval", obs.auditInterval);
+        w.endObject();
+        w.field("seeds", seeds);
+        w.field("sim_ops_per_sec", ops_per_sec);
+        w.field("scrub_share_pct", scrub_pct);
+        w.field("uncorrectable_after_rebuild", sum.uncorrectable);
+        w.field("oracle_mismatches", sum.mismatches);
+        w.field("all_recovered", sum.recovered);
+        w.key("rows").beginArray();
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const RunOut &r = rows[i];
-            os << (i ? "," : "") << "\n    {\n"
-               << "      \"seed\": " << i << ",\n"
-               << "      \"host_ops\": " << r.hostOps << ",\n"
-               << "      \"host_phys_ops\": " << r.hostPhysOps << ",\n"
-               << "      \"scrub_reads\": " << r.scrubReads << ",\n"
-               << "      \"refreshes\": " << r.refreshes << ",\n"
-               << "      \"repairs\": " << r.repairs << ",\n"
-               << "      \"gc_runs\": " << r.gcRuns << ",\n"
-               << "      \"uncorrectable\": " << r.uncorrectable << ",\n"
-               << "      \"mismatches\": " << r.mismatches << ",\n"
-               << "      \"wall_sec\": " << r.wallSec << "\n    }";
+            w.beginObject();
+            w.field("seed", i);
+            w.field("host_ops", r.hostOps);
+            w.field("host_phys_ops", r.hostPhysOps);
+            w.field("scrub_reads", r.scrubReads);
+            w.field("refreshes", r.refreshes);
+            w.field("repairs", r.repairs);
+            w.field("gc_runs", r.gcRuns);
+            w.field("uncorrectable", r.uncorrectable);
+            w.field("mismatches", r.mismatches);
+            w.field("wall_sec", r.wallSec);
+            w.endObject();
         }
-        os << "\n  ]\n}\n";
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        w.endArray();
+        w.endObject();
+        if (!json::writeFile(json_path, w.str()))
             return 2;
-        }
-        out << os.str();
     }
 
     // One extra traced run so scrub_pass / rain_rebuild spans land in

@@ -46,6 +46,7 @@
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "obs/profiler.hpp"
 #include "obs/slo.hpp"
@@ -182,47 +183,53 @@ peakRssBytes()
     return 0;
 }
 
-/** Pull the number after "key": from a baseline JSON (flat schema). */
+/** events_per_sec of a baseline report; -1 when it is unreadable. */
 double
-jsonNumber(const std::string &text, const std::string &key)
+baselineEventsPerSec(const std::string &text)
 {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos)
+    json::Value doc;
+    std::string err;
+    if (!json::parse(text, doc, err))
         return -1.0;
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
+    const json::Value *v = doc.field("events_per_sec");
+    return v && v->kind == json::Value::Kind::kNumber
+               ? std::strtod(v->text.c_str(), nullptr)
+               : -1.0;
 }
 
 void
 writeJson(const std::string &path, int rounds, const RunOut &r,
           double events_per_sec, double cmds_per_sec, std::size_t rss)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "bench_simspeed: cannot write " << path << "\n";
-        return;
-    }
-    os << "{\n  \"schema_version\": 1,\n"
-       << "  \"tool\": \"bench_simspeed\",\n"
-       << "  \"config\": {\"rounds\": " << rounds
-       << ", \"warmup_rounds\": " << kWarmupRounds
-       << ", \"queues\": " << kQueues << ", \"depth\": " << kDepth
-       << ", \"page_seed\": " << kPageSeed << "},\n"
-       << "  \"events\": " << r.events << ",\n"
-       << "  \"commands\": " << r.commands << ",\n"
-       << "  \"wall_seconds\": " << r.wallSec << ",\n"
-       << "  \"events_per_sec\": " << events_per_sec << ",\n"
-       << "  \"sim_ops_per_sec\": " << cmds_per_sec << ",\n"
-       << "  \"peak_rss_bytes\": " << rss << ",\n"
-       << "  \"subsystems\": {";
+    json::Writer w;
+    w.beginObject();
+    w.field("schema_version", 1);
+    w.field("tool", "bench_simspeed");
+    w.key("config").beginObject();
+    w.field("rounds", rounds);
+    w.field("warmup_rounds", kWarmupRounds);
+    w.field("queues", kQueues);
+    w.field("depth", kDepth);
+    w.field("page_seed", kPageSeed);
+    w.endObject();
+    w.field("events", r.events);
+    w.field("commands", r.commands);
+    w.field("wall_seconds", r.wallSec);
+    w.field("events_per_sec", events_per_sec);
+    w.field("sim_ops_per_sec", cmds_per_sec);
+    w.field("peak_rss_bytes", rss);
+    w.key("subsystems").beginObject();
     const double total = r.prof.totalSeconds();
     for (std::size_t s = 0; s < obs::kNumSubsystems; ++s) {
-        os << (s ? ", " : "") << "\""
-           << obs::subsystemName(static_cast<obs::Subsystem>(s))
-           << "\": {\"seconds\": " << r.prof.seconds[s] << ", \"share\": "
-           << (total > 0 ? r.prof.seconds[s] / total : 0.0) << "}";
+        w.key(obs::subsystemName(static_cast<obs::Subsystem>(s)));
+        w.beginObject();
+        w.field("seconds", r.prof.seconds[s]);
+        w.field("share", total > 0 ? r.prof.seconds[s] / total : 0.0);
+        w.endObject();
     }
-    os << "}\n}\n";
+    w.endObject();
+    w.endObject();
+    (void)json::writeFile(path, w.str());
 }
 
 } // namespace
@@ -304,7 +311,7 @@ main(int argc, char **argv)
         std::ifstream in(baseline_path);
         std::stringstream ss;
         ss << in.rdbuf();
-        const double base = jsonNumber(ss.str(), "events_per_sec");
+        const double base = baselineEventsPerSec(ss.str());
         bench::section("regression gate");
         if (!in || base <= 0) {
             std::printf("  cannot read baseline %s\n",

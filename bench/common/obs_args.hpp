@@ -29,10 +29,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
 
+#include "common/json.hpp"
+#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -98,28 +98,17 @@ struct ObsOptions
     finish() const
     {
         bool ok = true;
-        if (!metricsOut.empty()) {
-            std::ofstream out(metricsOut, std::ios::binary);
-            if (out)
-                out << obs::MetricsRegistry::global().toJson();
-            if (!out) {
-                std::cerr << "obs: cannot write " << metricsOut << "\n";
-                ok = false;
-            }
-        }
+        if (!metricsOut.empty())
+            ok &= json::writeFile(metricsOut,
+                                  obs::MetricsRegistry::global().toJson());
         if (!traceOut.empty()) {
             const obs::TraceSink *sink = obs::TraceSink::global();
-            if (!sink || !sink->writeFile(traceOut)) {
-                std::cerr << "obs: cannot write " << traceOut << "\n";
-                ok = false;
-            }
+            if (!sink)
+                logError("obs: no trace recorded for " + traceOut);
+            ok &= sink && json::writeFile(traceOut, sink->toJson());
         }
-        if (!snapshotsOut.empty() &&
-            !obs::SnapshotSeries::writeFile(snapshotsOut,
-                                            snapshots.toJson())) {
-            std::cerr << "obs: cannot write " << snapshotsOut << "\n";
-            ok = false;
-        }
+        if (!snapshotsOut.empty())
+            ok &= json::writeFile(snapshotsOut, snapshots.toJson());
         return ok;
     }
 };

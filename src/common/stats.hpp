@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace parabit {
 
 /** Streaming scalar accumulator: count / sum / min / max / mean. */
@@ -50,70 +48,6 @@ class ScalarStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Sample recorder for percentile queries (latency p50/p99).
- *
- * By default every sample is kept, so percentiles are exact; callers
- * gate recording behind an opt-in flag for long-running simulations.
- * Alternatively, constructing with a cap bounds memory via reservoir
- * sampling (Algorithm R): below the cap percentiles stay exact, above
- * it each of the n samples seen has probability cap/n of being in the
- * reservoir, which keeps the percentile estimates statistically sound.
- * The reservoir stream is seeded from a fixed constant, so a capped
- * series is as deterministic as an uncapped one.
- */
-class SampleSeries
-{
-  public:
-    SampleSeries() = default;
-    /** @p cap 0 keeps every sample (identical to default-construction). */
-    explicit SampleSeries(std::size_t cap) : cap_(cap) {}
-
-    void
-    sample(double v)
-    {
-        scalar_.sample(v);
-        if (cap_ == 0 || samples_.size() < cap_) {
-            samples_.push_back(v);
-            return;
-        }
-        // Algorithm R: replace a random slot with probability cap/n.
-        const std::uint64_t n = scalar_.count();
-        const std::uint64_t slot = reservoirRng_.below(n);
-        if (slot < cap_)
-            samples_[static_cast<std::size_t>(slot)] = v;
-    }
-
-    /** Total samples observed (not the reservoir occupancy). */
-    std::uint64_t count() const { return scalar_.count(); }
-    /** Samples currently held (== count() until the cap is hit). */
-    std::size_t stored() const { return samples_.size(); }
-    std::size_t cap() const { return cap_; }
-    double mean() const { return scalar_.mean(); }
-    double max() const { return scalar_.max(); }
-
-    /** Nearest-rank percentile over the held samples; @p p in
-     *  [0, 100].  0 when empty; exact while count() <= cap. */
-    double percentile(double p) const;
-
-    void
-    reset()
-    {
-        samples_.clear();
-        scalar_.reset();
-        reservoirRng_ = Rng(kReservoirSeed);
-    }
-
-  private:
-    /** Fixed seed: capped series must replay identically run-to-run. */
-    static constexpr std::uint64_t kReservoirSeed = 0x0B5E55ED5EEDull;
-
-    std::size_t cap_ = 0;
-    std::vector<double> samples_;
-    ScalarStat scalar_;
-    Rng reservoirRng_{kReservoirSeed};
 };
 
 /** Fixed-width histogram over [lo, hi) with overflow/underflow buckets. */

@@ -1,24 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <sstream>
-
+#include "common/json.hpp"
 #include "obs/profiler.hpp"
 
 namespace parabit::obs {
-
-namespace {
-
-void
-appendEscaped(std::ostringstream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-}
-
-} // namespace
 
 MetricsRegistry &
 MetricsRegistry::global()
@@ -56,38 +41,31 @@ std::string
 MetricsRegistry::toJson() const
 {
     PROFILE_SCOPE(Subsystem::kObs);
-    std::ostringstream os;
-    os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, v] : counters_) {
-        os << (first ? "" : ",") << "\n    \"";
-        appendEscaped(os, name);
-        os << "\": " << v;
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, v] : gauges_) {
-        os << (first ? "" : ",") << "\n    \"";
-        appendEscaped(os, name);
-        os << "\": " << v;
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
+    json::Writer w;
+    w.beginObject();
+    w.key("counters").beginObject();
+    for (const auto &[name, v] : counters_)
+        w.field(name, v);
+    w.endObject();
+    w.key("gauges").beginObject();
+    for (const auto &[name, v] : gauges_)
+        w.field(name, v);
+    w.endObject();
+    w.key("histograms").beginObject();
     for (const auto &[name, h] : hists_) {
-        os << (first ? "" : ",") << "\n    \"";
-        appendEscaped(os, name);
-        os << "\": {\"total\": " << h.total()
-           << ", \"underflow\": " << h.underflow()
-           << ", \"overflow\": " << h.overflow() << ", \"buckets\": [";
+        w.key(name).beginObject();
+        w.field("total", h.total());
+        w.field("underflow", h.underflow());
+        w.field("overflow", h.overflow());
+        w.key("buckets").beginArray();
         for (std::size_t i = 0; i < h.buckets(); ++i)
-            os << (i ? "," : "") << h.bucketCount(i);
-        os << "]}";
-        first = false;
+            w.value(h.bucketCount(i));
+        w.endArray();
+        w.endObject();
     }
-    os << (first ? "" : "\n  ") << "}\n}\n";
-    return os.str();
+    w.endObject();
+    w.endObject();
+    return w.str();
 }
 
 void

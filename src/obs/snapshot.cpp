@@ -1,8 +1,8 @@
 #include "obs/snapshot.hpp"
 
-#include <fstream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
@@ -80,38 +80,27 @@ SnapshotSeries::toCsv() const
 std::string
 SnapshotSeries::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n  \"columns\": [";
-    for (std::size_t i = 0; i < columns_.size(); ++i)
-        os << (i ? ", " : "") << '"' << columns_[i] << '"';
-    os << "],\n  \"rows\": [";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const Row &r = rows_[i];
-        os << (i ? "," : "") << "\n    {\"tick\": " << r.at
-           << ", \"values\": [";
-        bool first = true;
-        for (std::uint64_t v : r.counters) {
-            os << (first ? "" : ", ") << v;
-            first = false;
-        }
-        for (double v : r.gauges) {
-            os << (first ? "" : ", ") << v;
-            first = false;
-        }
-        os << "]}";
+    json::Writer w;
+    w.beginObject();
+    w.key("columns").beginArray();
+    for (const std::string &c : columns_)
+        w.value(c);
+    w.endArray();
+    w.key("rows").beginArray();
+    for (const Row &r : rows_) {
+        w.beginObject();
+        w.field("tick", r.at);
+        w.key("values").beginArray();
+        for (std::uint64_t v : r.counters)
+            w.value(v);
+        for (double v : r.gauges)
+            w.value(v);
+        w.endArray();
+        w.endObject();
     }
-    os << (rows_.empty() ? "" : "\n  ") << "]\n}\n";
-    return os.str();
-}
-
-bool
-SnapshotSeries::writeFile(const std::string &path, const std::string &body)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << body;
-    return static_cast<bool>(out);
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 } // namespace parabit::obs

@@ -40,9 +40,6 @@ class SnapshotSeries
     /** {"columns": [...], "rows": [{"tick": t, "values": [...]}]} */
     std::string toJson() const;
 
-    /** Write @p body to @p path; false on I/O failure. */
-    static bool writeFile(const std::string &path, const std::string &body);
-
   private:
     struct Row
     {

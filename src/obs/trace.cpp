@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
 #include <memory>
 
+#include "common/json.hpp"
 #include "obs/profiler.hpp"
 
 namespace parabit::obs {
@@ -10,17 +10,6 @@ namespace parabit::obs {
 namespace {
 
 std::unique_ptr<TraceSink> g_sink;
-
-/** Escape @p s into @p out as JSON string content. */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
 
 /**
  * Render Tick @p t (picoseconds) as Chrome microseconds with three
@@ -221,14 +210,14 @@ TraceSink::appendEvent(std::string &out, const Event &e) const
         e.kind == Kind::kFlowStart || e.kind == Kind::kFlowStep ||
         e.kind == Kind::kFlowEnd) {
         out += ",\"cat\":\"";
-        appendEscaped(out, e.cat);
+        json::appendEscaped(out, e.cat);
         out += "\",\"id\":\"";
         out += std::to_string(e.id);
         out += '"';
     }
     if (!e.name.empty()) {
         out += ",\"name\":\"";
-        appendEscaped(out, e.name);
+        json::appendEscaped(out, e.name);
         out += '"';
     }
     if (!e.args.empty()) {
@@ -238,11 +227,11 @@ TraceSink::appendEvent(std::string &out, const Event &e) const
             if (i)
                 out += ',';
             out += '"';
-            appendEscaped(out, a.key);
+            json::appendEscaped(out, a.key);
             out += "\":";
             if (a.quoted) {
                 out += '"';
-                appendEscaped(out, a.value);
+                json::appendEscaped(out, a.value);
                 out += '"';
             } else {
                 out += a.value;
@@ -265,16 +254,6 @@ TraceSink::toJson() const
     }
     out += "\n]}\n";
     return out;
-}
-
-bool
-TraceSink::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toJson();
-    return static_cast<bool>(out);
 }
 
 void

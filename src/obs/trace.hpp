@@ -111,9 +111,6 @@ class TraceSink
     /** Render the whole trace as {"traceEvents": [...]}. */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
-
     /** Drop all events and tracks. */
     void clear();
 

@@ -89,21 +89,13 @@ struct SchedConfig
     Tick scrubMaxDeferredTicks = flash::kDefaultScrubMaxDeferred;
 
     /**
-     * Record per-transaction completion latencies (per class) for
-     * percentile reporting.  Off by default: the sample vectors grow
-     * with every transaction, which device-lifetime endurance runs do
-     * not want.
+     * Record per-transaction completion latencies (per class) in a
+     * fixed-memory quantile sketch for p50/p99 reporting.  Off by
+     * default: each class's sketch is ~22 KB, allocated only when this
+     * is on, and most devices (perfbench keeps dozens alive at once)
+     * never read it.
      */
     bool latencySampling = false;
-
-    /**
-     * Bound the per-class latency sample vectors via reservoir sampling
-     * (SampleSeries cap).  0 (the default) keeps every sample — exact
-     * percentiles, unbounded growth; a nonzero cap keeps percentile
-     * estimates statistically sound at fixed memory for
-     * device-lifetime runs.  Only meaningful with latencySampling.
-     */
-    std::size_t latencySampleCap = 0;
 
     /**
      * Keep a full booking trace (every phase interval on every

@@ -38,7 +38,7 @@ TransactionScheduler::TransactionScheduler(
     const flash::FlashGeometry &geometry, const flash::FlashTiming &timing,
     const SchedConfig &cfg)
     : geo_(geometry), timing_(timing), cfg_(cfg), policy_(makePolicy(cfg)),
-      latency_(kNumTxClasses, SampleSeries(cfg.latencySampleCap)),
+      latency_(cfg.latencySampling ? kNumTxClasses : 0),
       submitted_("sched.tx.submitted"),
       completedCount_("sched.tx.completed"),
       suspendCount_("sched.suspends"), batches_("sched.batch.groups"),
@@ -512,7 +512,9 @@ TransactionScheduler::finishTx(TxState &st, Tick end)
                              1e6);
     if (cfg_.latencySampling)
     {
-        latency_[cls].sample(static_cast<double>(end - st.tx.readyAt));
+        const auto lat = static_cast<double>(end - st.tx.readyAt);
+        latency_[cls].quantiles.sample(lat);
+        latency_[cls].scalar.sample(lat);
     }
 }
 
@@ -580,9 +582,11 @@ TransactionScheduler::stats() const
     return s;
 }
 
-const SampleSeries &
-TransactionScheduler::latencySeries(TxClass c) const
+const ClassLatency &
+TransactionScheduler::latency(TxClass c) const
 {
+    PARABIT_CHECK(cfg_.latencySampling,
+                  "TransactionScheduler::latency needs latencySampling");
     return latency_[static_cast<std::size_t>(c)];
 }
 

@@ -46,6 +46,7 @@
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "flash/geometry.hpp"
 #include "flash/timing.hpp"
@@ -123,6 +124,13 @@ struct SchedStats
     std::size_t maxQueueDepth = 0;
 };
 
+/** One class's completion latencies in ticks (latencySampling). */
+struct ClassLatency
+{
+    obs::QuantileSketch quantiles; ///< p50/p99 within relativeError()
+    ScalarStat scalar;             ///< exact count, mean and max
+};
+
 /** See file comment. */
 class TransactionScheduler
 {
@@ -173,8 +181,9 @@ class TransactionScheduler
      */
     void setTraceSink(obs::TraceSink *sink);
 
-    /** Completion-latency samples per class (latencySampling only). */
-    const SampleSeries &latencySeries(TxClass c) const;
+    /** Completion latencies of class @p c, in ticks.  Panics unless
+     *  cfg.latencySampling is on. */
+    const ClassLatency &latency(TxClass c) const;
 
     /** Booking trace of the last batch (traceEnabled only). */
     const std::vector<TraceEntry> &trace() const { return trace_; }
@@ -328,7 +337,7 @@ class TransactionScheduler
     std::vector<TxState> txs_;        ///< current batch
     std::vector<Phase> phases_;       ///< current batch, by transaction
     std::uint64_t batchFirstId_ = 0;  ///< id of txs_[0]
-    std::vector<SampleSeries> latency_; ///< one per TxClass
+    std::vector<ClassLatency> latency_; ///< per TxClass, if sampling
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
     std::vector<TraceEntry> trace_;
 

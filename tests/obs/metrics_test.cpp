@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace parabit::obs {
@@ -110,8 +111,17 @@ TEST(Metrics, JsonDumpContainsInstruments)
     const std::string json = MetricsRegistry::global().toJson();
     EXPECT_NE(json.find("\"a.count\": 42"), std::string::npos);
     EXPECT_NE(json.find("\"b.gauge\": 1.5"), std::string::npos);
-    EXPECT_NE(json.find("\"c.hist\": {\"total\": 2"), std::string::npos);
-    EXPECT_NE(json.find("\"buckets\": [1,1]"), std::string::npos);
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(json, doc, err)) << err;
+    const json::Value *hist = doc.field("histograms")->field("c.hist");
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->field("total")->text, "2");
+    const json::Value *buckets = hist->field("buckets");
+    ASSERT_NE(buckets, nullptr);
+    ASSERT_EQ(buckets->items.size(), 2u);
+    EXPECT_EQ(buckets->items[0].text, "1");
+    EXPECT_EQ(buckets->items[1].text, "1");
 }
 
 TEST(Metrics, JsonDumpIsSortedAndByteStable)

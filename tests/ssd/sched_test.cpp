@@ -324,12 +324,17 @@ TEST(SchedBookkeeping, LatencySamplingPerClass)
     s.submit(readTx(planeAddr(0, 0, 0), 0, 10, 0));
     s.submit(programTx(planeAddr(0, 0, 1), 0, 100));
     s.drain();
-    const SampleSeries &rd = s.latencySeries(TxClass::kRead);
-    EXPECT_EQ(rd.count(), 2u);
-    EXPECT_EQ(rd.percentile(50.0), 10.0);
-    EXPECT_EQ(rd.percentile(99.0), 20.0); // second read queues behind
-    EXPECT_EQ(s.latencySeries(TxClass::kProgram).count(), 1u);
-    EXPECT_EQ(s.latencySeries(TxClass::kErase).count(), 0u);
+    const ClassLatency &rd = s.latency(TxClass::kRead);
+    EXPECT_EQ(rd.scalar.count(), 2u);
+    EXPECT_EQ(rd.quantiles.count(), 2u);
+    // The sketch answers within its relative-error bound.
+    const double err = rd.quantiles.relativeError();
+    EXPECT_NEAR(rd.quantiles.quantile(0.50), 10.0, 10.0 * err);
+    // The second read queues behind the first.
+    EXPECT_NEAR(rd.quantiles.quantile(0.99), 20.0, 20.0 * err);
+    EXPECT_EQ(rd.scalar.max(), 20.0);
+    EXPECT_EQ(s.latency(TxClass::kProgram).scalar.count(), 1u);
+    EXPECT_EQ(s.latency(TxClass::kErase).scalar.count(), 0u);
 }
 
 TEST(SchedTrace, PhaseOrderAndNonOverlapObservable)

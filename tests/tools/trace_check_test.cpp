@@ -101,6 +101,22 @@ TEST(TraceCheck, RejectsDanglingAsyncBegin)
     EXPECT_TRUE(hasFinding(r, "async-pairing"));
 }
 
+TEST(TraceCheck, AsyncPairsDifferingOnlyInPidAreDistinct)
+{
+    // Same cat, id and name in two processes: two pairs, keyed by pid.
+    TraceSink sink;
+    const TrackId a = sink.track("host", "queue 0");
+    const TrackId b = sink.track("host2", "queue 0");
+    sink.asyncBegin(a, "nvme", "read", 7, 0);
+    sink.asyncBegin(b, "nvme", "read", 7, 1000000);
+    sink.asyncEnd(a, "nvme", "read", 7, 2000000);
+    sink.asyncEnd(b, "nvme", "read", 7, 3000000);
+    const CheckResult r = checkTrace(sink.toJson());
+    EXPECT_TRUE(r.ok()) << toJson(r);
+    EXPECT_EQ(r.stats.asyncPairs, 2u);
+    EXPECT_EQ(r.stats.processes, 2u);
+}
+
 TEST(TraceCheck, RejectsAsyncNameMismatch)
 {
     TraceSink sink;

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace parabit::lint {
 
 namespace {
@@ -670,27 +672,22 @@ lintTree(const std::string &root)
 std::string
 toJson(const std::vector<Finding> &findings)
 {
-    auto escape = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
-    std::ostringstream os;
-    os << "{\n  \"tool\": \"parabit-lint\",\n  \"ok\": "
-       << (findings.empty() ? "true" : "false") << ",\n  \"findings\": [";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        os << (i ? "," : "") << "\n    {\"file\": \"" << escape(f.file)
-           << "\", \"line\": " << f.line << ", \"rule\": \""
-           << escape(f.rule) << "\", \"message\": \"" << escape(f.message)
-           << "\"}";
+    json::Writer w;
+    w.beginObject();
+    w.field("tool", "parabit-lint");
+    w.field("ok", findings.empty());
+    w.key("findings").beginArray();
+    for (const Finding &f : findings) {
+        w.beginObject();
+        w.field("file", f.file);
+        w.field("line", f.line);
+        w.field("rule", f.rule);
+        w.field("message", f.message);
+        w.endObject();
     }
-    os << (findings.empty() ? "" : "\n  ") << "]\n}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 } // namespace parabit::lint

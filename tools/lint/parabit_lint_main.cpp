@@ -9,11 +9,11 @@
  * errors.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "lint.hpp"
 
 int
@@ -43,14 +43,9 @@ main(int argc, char **argv)
         all.insert(all.end(), f.begin(), f.end());
     }
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::cerr << "parabit-lint: cannot write " << json_path << "\n";
-            return 2;
-        }
-        out << parabit::lint::toJson(all);
-    }
+    if (!json_path.empty() &&
+        !parabit::json::writeFile(json_path, parabit::lint::toJson(all)))
+        return 2;
 
     for (const auto &f : all)
         std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] "

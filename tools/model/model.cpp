@@ -1,12 +1,13 @@
 #include "model.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "ssd/ssd.hpp"
@@ -382,30 +383,6 @@ dfs(const ModelOptions &opts, const std::vector<Action> &alphabet,
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -468,86 +445,78 @@ replayPath(const ModelOptions &opts, const std::vector<int> &path)
 std::string
 toJson(const ModelReport &r, const ModelOptions &opts)
 {
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"schema_version\": 1,\n"
-       << "  \"tool\": \"parabit-model\",\n"
-       << "  \"ok\": " << (r.ok() ? "true" : "false") << ",\n"
-       << "  \"config\": {\n"
-       << "    \"depth\": " << opts.depth << ",\n"
-       << "    \"lpns\": " << opts.lpns << ",\n"
-       << "    \"fault_budget\": " << opts.faultBudget << ",\n"
-       << "    \"seed\": " << opts.seed << ",\n"
-       << "    \"por\": " << (opts.por ? "true" : "false") << ",\n"
-       << "    \"policies\": [";
-    for (std::size_t i = 0; i < opts.policies.size(); ++i)
-        os << (i ? ", " : "") << '"' << jsonEscape(opts.policies[i])
-           << '"';
-    os << "],\n"
-       << "    \"device\": \"2ch x 1chip x 2die x 1plane x 8blk x 4wl\"\n"
-       << "  },\n"
-       << "  \"paths_explored\": " << r.pathsExplored << ",\n"
-       << "  \"paths_pruned\": " << r.pathsPruned << ",\n"
-       << "  \"actions_applied\": " << r.actionsApplied << ",\n"
-       << "  \"audits_run\": " << r.auditsRun << ",\n"
-       << "  \"checks_run\": " << r.checksRun << ",\n"
-       << "  \"crashes_injected\": " << r.crashesInjected << ",\n"
-       << "  \"max_depth\": " << r.maxDepth << ",\n"
-       << "  \"findings\": [";
-    for (std::size_t i = 0; i < r.findings.size(); ++i) {
-        const ModelFinding &f = r.findings[i];
-        os << (i ? "," : "") << "\n    {\n"
-           << "      \"check\": \"" << jsonEscape(f.check) << "\",\n"
-           << "      \"subject\": \"" << jsonEscape(f.subject) << "\",\n"
-           << "      \"message\": \"" << jsonEscape(f.message) << "\",\n"
-           << "      \"policy\": \"" << jsonEscape(f.policy) << "\",\n"
-           << "      \"path\": [";
-        for (std::size_t j = 0; j < f.path.size(); ++j)
-            os << (j ? ", " : "") << f.path[j];
-        os << "]\n    }";
+    json::Writer w;
+    w.beginObject();
+    w.field("schema_version", 1);
+    w.field("tool", "parabit-model");
+    w.field("ok", r.ok());
+    w.key("config").beginObject();
+    w.field("depth", opts.depth);
+    w.field("lpns", opts.lpns);
+    w.field("fault_budget", opts.faultBudget);
+    w.field("seed", opts.seed);
+    w.field("por", opts.por);
+    w.key("policies").beginArray();
+    for (const std::string &p : opts.policies)
+        w.value(p);
+    w.endArray();
+    w.field("device", "2ch x 1chip x 2die x 1plane x 8blk x 4wl");
+    w.endObject();
+    w.field("paths_explored", r.pathsExplored);
+    w.field("paths_pruned", r.pathsPruned);
+    w.field("actions_applied", r.actionsApplied);
+    w.field("audits_run", r.auditsRun);
+    w.field("checks_run", r.checksRun);
+    w.field("crashes_injected", r.crashesInjected);
+    w.field("max_depth", r.maxDepth);
+    w.key("findings").beginArray();
+    for (const ModelFinding &f : r.findings) {
+        w.beginObject();
+        w.field("check", f.check);
+        w.field("subject", f.subject);
+        w.field("message", f.message);
+        w.field("policy", f.policy);
+        w.key("path").beginArray();
+        for (int step : f.path)
+            w.value(step);
+        w.endArray();
+        w.endObject();
     }
-    os << (r.findings.empty() ? "" : "\n  ") << "]\n}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 bool
-parseTrace(const std::string &json, std::vector<int> &path,
+parseTrace(const std::string &text, std::vector<int> &path,
            std::uint64_t &seed, std::string &err)
 {
-    const std::size_t seedKey = json.find("\"seed\":");
-    if (seedKey != std::string::npos)
-        seed = std::strtoull(json.c_str() + seedKey + 7, nullptr, 10);
-    const std::size_t key = json.find("\"path\":");
-    if (key == std::string::npos) {
-        err = "no \"path\" array (report has no findings to replay?)";
+    json::Value doc;
+    if (!json::parse(text, doc, err))
         return false;
-    }
-    std::size_t i = json.find('[', key);
-    const std::size_t end = json.find(']', key);
-    if (i == std::string::npos || end == std::string::npos) {
-        err = "malformed \"path\" array";
+    const json::Value *config = doc.field("config");
+    if (const json::Value *s = config ? config->field("seed") : nullptr)
+        seed = std::strtoull(s->text.c_str(), nullptr, 10);
+    const json::Value *findings = doc.field("findings");
+    const json::Value *trace =
+        findings && !findings->items.empty()
+            ? findings->items.front().field("path")
+            : nullptr;
+    if (!trace || trace->items.empty()) {
+        err = "no replayable \"path\" (report has no findings?)";
         return false;
     }
     path.clear();
-    ++i;
-    while (i < end) {
-        while (i < end && (json[i] == ' ' || json[i] == ',' ||
-                           json[i] == '\n'))
-            ++i;
-        if (i >= end)
-            break;
-        char *stop = nullptr;
-        const long v = std::strtol(json.c_str() + i, &stop, 10);
-        if (stop == json.c_str() + i) {
+    for (const json::Value &step : trace->items) {
+        const char *end = step.text.data() + step.text.size();
+        int v = 0;
+        const auto [stop, ec] = std::from_chars(step.text.data(), end, v);
+        if (step.kind != json::Value::Kind::kNumber || ec != std::errc() ||
+            stop != end) {
             err = "malformed \"path\" entry";
             return false;
         }
-        path.push_back(static_cast<int>(v));
-        i = static_cast<std::size_t>(stop - json.c_str());
-    }
-    if (path.empty()) {
-        err = "empty \"path\" array";
-        return false;
+        path.push_back(v);
     }
     return true;
 }

@@ -123,12 +123,12 @@ ModelReport replayPath(const ModelOptions &opts,
 std::string toJson(const ModelReport &r, const ModelOptions &opts);
 
 /**
- * Extract the first finding's decision trace (plus the seed it ran
- * with) from a parabit-model JSON report.  A purpose-built reader for
- * the tool's own output, not a general JSON parser.  @return false
- * (with @p err set) when @p json holds no replayable trace.
+ * Extract the first finding's decision trace (findings[0].path) plus
+ * the seed it ran with (config.seed) from a parabit-model JSON report.
+ * @return false (with @p err set) when @p text is not JSON or holds no
+ * replayable trace.
  */
-bool parseTrace(const std::string &json, std::vector<int> &path,
+bool parseTrace(const std::string &text, std::vector<int> &path,
                 std::uint64_t &seed, std::string &err);
 
 } // namespace parabit::model

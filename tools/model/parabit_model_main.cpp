@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "model.hpp"
 
 namespace {
@@ -117,15 +118,9 @@ main(int argc, char **argv)
         report = runModel(opts);
     }
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::cerr << "parabit-model: cannot write " << json_path
-                      << "\n";
-            return 2;
-        }
-        out << toJson(report, opts);
-    }
+    if (!json_path.empty() &&
+        !parabit::json::writeFile(json_path, toJson(report, opts)))
+        return 2;
 
     const std::vector<Action> alphabet = actionAlphabet(opts);
     for (const ModelFinding &f : report.findings) {

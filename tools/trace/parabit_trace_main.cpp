@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "trace_check.hpp"
 
 namespace {
@@ -65,14 +66,10 @@ main(int argc, char **argv)
     const parabit::tracecheck::CheckResult result =
         parabit::tracecheck::checkTrace(buf.str());
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::cerr << "parabit-trace: cannot write " << json_path << "\n";
-            return 2;
-        }
-        out << parabit::tracecheck::toJson(result);
-    }
+    if (!json_path.empty() &&
+        !parabit::json::writeFile(json_path,
+                                  parabit::tracecheck::toJson(result)))
+        return 2;
 
     for (const auto &f : result.findings)
         std::cerr << "parabit-trace: [" << f.check << "] " << f.message

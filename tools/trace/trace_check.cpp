@@ -4,265 +4,16 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 #include <utility>
+
+#include "common/json.hpp"
 
 namespace parabit::tracecheck {
 
 namespace {
 
-/**
- * Minimal JSON value: enough for the subset obs::TraceSink emits
- * (objects, arrays, strings, numbers, booleans, null).  Numbers keep
- * their raw text so timestamps can be converted to integer nanoseconds
- * without floating-point round-off.
- */
-struct JsonValue
-{
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    std::string text; ///< number raw text, or string content
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> fields;
-
-    const JsonValue *
-    field(const std::string &key) const
-    {
-        for (const auto &f : fields)
-            if (f.first == key)
-                return &f.second;
-        return nullptr;
-    }
-};
-
-/** Recursive-descent parser over the trace JSON subset. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        skipWs();
-        if (!parseValue(out))
-            return false;
-        skipWs();
-        if (pos_ != text_.size()) {
-            fail("trailing characters after document");
-            return false;
-        }
-        return true;
-    }
-
-    const std::string &error() const { return error_; }
-    std::size_t errorOffset() const { return errorPos_; }
-
-  private:
-    void
-    fail(const std::string &why)
-    {
-        if (error_.empty()) {
-            error_ = why;
-            errorPos_ = pos_;
-        }
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::string(word).size();
-        if (text_.compare(pos_, n, word) != 0) {
-            fail(std::string("expected ") + word);
-            return false;
-        }
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of document");
-            return false;
-        }
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::kString;
-            return parseString(out.text);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = JsonValue::Kind::kNull;
-            return literal("null");
-        }
-        return parseNumber(out);
-    }
-
-    bool
-    parseObject(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::kObject;
-        ++pos_; // '{'
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::string key;
-            if (pos_ >= text_.size() || text_[pos_] != '"') {
-                fail("expected object key");
-                return false;
-            }
-            if (!parseString(key))
-                return false;
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != ':') {
-                fail("expected ':' after key");
-                return false;
-            }
-            ++pos_;
-            skipWs();
-            JsonValue v;
-            if (!parseValue(v))
-                return false;
-            out.fields.emplace_back(std::move(key), std::move(v));
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            fail("expected ',' or '}' in object");
-            return false;
-        }
-    }
-
-    bool
-    parseArray(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::kArray;
-        ++pos_; // '['
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            JsonValue v;
-            if (!parseValue(v))
-                return false;
-            out.items.push_back(std::move(v));
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            fail("expected ',' or ']' in array");
-            return false;
-        }
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        ++pos_; // '"'
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                if (pos_ + 1 >= text_.size()) {
-                    fail("truncated escape");
-                    return false;
-                }
-                const char e = text_[pos_ + 1];
-                if (e == '"' || e == '\\' || e == '/')
-                    out += e;
-                else if (e == 'n')
-                    out += '\n';
-                else if (e == 't')
-                    out += '\t';
-                else if (e == 'r')
-                    out += '\r';
-                else {
-                    fail("unsupported escape");
-                    return false;
-                }
-                pos_ += 2;
-                continue;
-            }
-            out += c;
-            ++pos_;
-        }
-        fail("unterminated string");
-        return false;
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::kNumber;
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               ((text_[pos_] >= '0' && text_[pos_] <= '9') ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        if (pos_ == start) {
-            fail("expected a value");
-            return false;
-        }
-        out.text = text_.substr(start, pos_ - start);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-    std::size_t errorPos_ = 0;
-};
+using json::Value;
 
 /**
  * Convert a trace timestamp ("microseconds, up to three decimals") to
@@ -328,21 +79,20 @@ class TraceChecker
 {
   public:
     CheckResult
-    run(const std::string &json)
+    run(const std::string &text)
     {
-        JsonValue root;
-        JsonParser parser(json);
-        if (!parser.parse(root)) {
-            add("json", parser.error() + " (offset " +
-                            std::to_string(parser.errorOffset()) + ")");
+        Value root;
+        std::string error;
+        if (!json::parse(text, root, error)) {
+            add("json", error);
             return std::move(result_);
         }
-        if (root.kind != JsonValue::Kind::kObject) {
+        if (root.kind != Value::Kind::kObject) {
             add("json", "top level is not an object");
             return std::move(result_);
         }
-        const JsonValue *events = root.field("traceEvents");
-        if (!events || events->kind != JsonValue::Kind::kArray) {
+        const Value *events = root.field("traceEvents");
+        if (!events || events->kind != Value::Kind::kArray) {
             add("json", "missing \"traceEvents\" array");
             return std::move(result_);
         }
@@ -366,10 +116,10 @@ class TraceChecker
     }
 
     static bool
-    readUint(const JsonValue &obj, const char *key, std::uint64_t &out)
+    readUint(const Value &obj, const char *key, std::uint64_t &out)
     {
-        const JsonValue *v = obj.field(key);
-        if (!v || v->kind != JsonValue::Kind::kNumber)
+        const Value *v = obj.field(key);
+        if (!v || v->kind != Value::Kind::kNumber)
             return false;
         std::uint64_t n = 0;
         for (char c : v->text) {
@@ -382,28 +132,28 @@ class TraceChecker
     }
 
     static bool
-    readString(const JsonValue &obj, const char *key, std::string &out)
+    readString(const Value &obj, const char *key, std::string &out)
     {
-        const JsonValue *v = obj.field(key);
-        if (!v || v->kind != JsonValue::Kind::kString)
+        const Value *v = obj.field(key);
+        if (!v || v->kind != Value::Kind::kString)
             return false;
         out = v->text;
         return true;
     }
 
     static bool
-    readTime(const JsonValue &obj, const char *key, std::uint64_t &out)
+    readTime(const Value &obj, const char *key, std::uint64_t &out)
     {
-        const JsonValue *v = obj.field(key);
-        return v && v->kind == JsonValue::Kind::kNumber &&
+        const Value *v = obj.field(key);
+        return v && v->kind == Value::Kind::kNumber &&
                toNanos(v->text, out);
     }
 
     void
-    ingest(const JsonValue &e, std::size_t index)
+    ingest(const Value &e, std::size_t index)
     {
         const std::string at = "event " + std::to_string(index);
-        if (e.kind != JsonValue::Kind::kObject) {
+        if (e.kind != Value::Kind::kObject) {
             add("json", at + ": not an object");
             return;
         }
@@ -421,7 +171,7 @@ class TraceChecker
         if (ph == "M") {
             std::string name;
             std::string value;
-            const JsonValue *args = e.field("args");
+            const Value *args = e.field("args");
             if (!readString(e, "name", name) || !args ||
                 !readString(*args, "name", value)) {
                 add("json", at + ": metadata without name args");
@@ -441,7 +191,7 @@ class TraceChecker
                 add("json", at + ": X event without ts/dur/name");
                 return;
             }
-            if (const JsonValue *args = e.field("args")) {
+            if (const Value *args = e.field("args")) {
                 std::uint64_t tx = 0;
                 if (readUint(*args, "tx", tx))
                     s.tx = static_cast<long long>(tx);
@@ -485,7 +235,7 @@ class TraceChecker
                 add("json", at + ": async event without cat/id/name/ts");
                 return;
             }
-            AsyncPair &p = asyncs_[pid + ":" + cat + ":" + id];
+            AsyncPair &p = asyncs_[std::to_string(pid) + ":" + cat + ":" + id];
             if (ph == "b") {
                 ++p.begins;
                 p.beginTs = ts;
@@ -739,32 +489,29 @@ checkTrace(const std::string &json)
 std::string
 toJson(const CheckResult &r)
 {
-    auto escape = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
-    std::ostringstream os;
-    os << "{\n  \"tool\": \"parabit-trace\",\n  \"ok\": "
-       << (r.ok() ? "true" : "false") << ",\n  \"stats\": {\"events\": "
-       << r.stats.events << ", \"spans\": " << r.stats.spans
-       << ", \"asyncPairs\": " << r.stats.asyncPairs
-       << ", \"flows\": " << r.stats.flows
-       << ", \"flowSteps\": " << r.stats.flowSteps
-       << ", \"tracks\": " << r.stats.tracks
-       << ", \"processes\": " << r.stats.processes
-       << "},\n  \"findings\": [";
-    for (std::size_t i = 0; i < r.findings.size(); ++i) {
-        const Finding &f = r.findings[i];
-        os << (i ? "," : "") << "\n    {\"check\": \"" << escape(f.check)
-           << "\", \"message\": \"" << escape(f.message) << "\"}";
+    json::Writer w;
+    w.beginObject();
+    w.field("tool", "parabit-trace");
+    w.field("ok", r.ok());
+    w.key("stats").beginObject();
+    w.field("events", r.stats.events);
+    w.field("spans", r.stats.spans);
+    w.field("asyncPairs", r.stats.asyncPairs);
+    w.field("flows", r.stats.flows);
+    w.field("flowSteps", r.stats.flowSteps);
+    w.field("tracks", r.stats.tracks);
+    w.field("processes", r.stats.processes);
+    w.endObject();
+    w.key("findings").beginArray();
+    for (const Finding &f : r.findings) {
+        w.beginObject();
+        w.field("check", f.check);
+        w.field("message", f.message);
+        w.endObject();
     }
-    os << (r.findings.empty() ? "" : "\n  ") << "]\n}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 } // namespace parabit::tracecheck

@@ -12,10 +12,10 @@
  * FCFS-equals-greedy) across every policy/geometry combination.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/json.hpp"
 #include "sched_check.hpp"
 #include "verifier.hpp"
 
@@ -72,14 +72,9 @@ main(int argc, char **argv)
     if (sched)
         verify::checkScheduler(report);
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::cerr << "parabit-verify: cannot write " << json_path << "\n";
-            return 2;
-        }
-        out << verify::toJson(report);
-    }
+    if (!json_path.empty() &&
+        !parabit::json::writeFile(json_path, verify::toJson(report)))
+        return 2;
 
     for (const auto &f : report.findings) {
         std::cerr << "parabit-verify: [" << f.check << "] " << f.subject

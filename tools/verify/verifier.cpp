@@ -1,9 +1,8 @@
 #include "verifier.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
+#include "common/json.hpp"
 #include "flash/energy_model.hpp"
 #include "flash/sequence_executor.hpp"
 #include "flash/timing.hpp"
@@ -475,66 +474,37 @@ verifyAll()
     return r;
 }
 
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 toJson(const Report &r)
 {
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"schema_version\": 1,\n"
-       << "  \"tool\": \"parabit-verify\",\n"
-       << "  \"ok\": " << (r.ok() ? "true" : "false") << ",\n"
-       << "  \"config\": {\n"
-       << "    \"flavors\": " << kNumFlavors << ",\n"
-       << "    \"bitwise_ops\": " << flash::kNumBitwiseOps << ",\n"
-       << "    \"sched_sweep\": "
-       << (r.schedChecksRun > 0 ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"programs_checked\": " << r.programsChecked << ",\n"
-       << "  \"combos_checked\": " << r.combosChecked << ",\n"
-       << "  \"chains_checked\": " << r.chainsChecked << ",\n"
-       << "  \"cost_checks_run\": " << r.costChecksRun << ",\n"
-       << "  \"sched_checks_run\": " << r.schedChecksRun << ",\n"
-       << "  \"findings\": [";
-    for (std::size_t i = 0; i < r.findings.size(); ++i) {
-        const Finding &f = r.findings[i];
-        os << (i ? "," : "") << "\n    {\n"
-           << "      \"check\": \"" << jsonEscape(f.check) << "\",\n"
-           << "      \"subject\": \"" << jsonEscape(f.subject) << "\",\n"
-           << "      \"message\": \"" << jsonEscape(f.message) << "\",\n"
-           << "      \"expected\": \"" << jsonEscape(f.expected) << "\",\n"
-           << "      \"actual\": \"" << jsonEscape(f.actual) << "\"\n"
-           << "    }";
+    json::Writer w;
+    w.beginObject();
+    w.field("schema_version", 1);
+    w.field("tool", "parabit-verify");
+    w.field("ok", r.ok());
+    w.key("config").beginObject();
+    w.field("flavors", kNumFlavors);
+    w.field("bitwise_ops", flash::kNumBitwiseOps);
+    w.field("sched_sweep", r.schedChecksRun > 0);
+    w.endObject();
+    w.field("programs_checked", r.programsChecked);
+    w.field("combos_checked", r.combosChecked);
+    w.field("chains_checked", r.chainsChecked);
+    w.field("cost_checks_run", r.costChecksRun);
+    w.field("sched_checks_run", r.schedChecksRun);
+    w.key("findings").beginArray();
+    for (const Finding &f : r.findings) {
+        w.beginObject();
+        w.field("check", f.check);
+        w.field("subject", f.subject);
+        w.field("message", f.message);
+        w.field("expected", f.expected);
+        w.field("actual", f.actual);
+        w.endObject();
     }
-    os << (r.findings.empty() ? "" : "\n  ") << "]\n}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 } // namespace parabit::verify
