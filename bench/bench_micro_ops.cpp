@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths: the
  * vectorized latch-array execution (bits computed per second through the
- * full circuit model), FTL write/GC throughput, the event-engine
+ * full circuit model), one paper-size page op through a chip, FTL
+ * write/GC throughput, the event-engine
  * scheduling rate, and transaction-scheduler dispatch over deep
  * queues.  These measure the *simulator's* host performance,
  * complementing the figure benches that report *simulated* device time.
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "flash/chip.hpp"
 #include "flash/latch_array.hpp"
 #include "parabit/device.hpp"
 #include "ssd/event_engine.hpp"
@@ -67,6 +69,41 @@ BM_LatchArrayLocationFree(benchmark::State &state)
                             static_cast<std::int64_t>(bits / 8));
 }
 BENCHMARK(BM_LatchArrayLocationFree);
+
+/**
+ * One 8 KB page op through Chip: the wordline lookup, the latch array
+ * all chips share and the result copy, which the LatchArray benchmarks
+ * leave out.  range(0) is 0 for opCoLocated, 1 for opLocationFree.
+ */
+void
+BM_ChipOpPaperPage(benchmark::State &state)
+{
+    flash::FlashGeometry g = flash::FlashGeometry::paperSsd();
+    g.blocksPerPlane = 1; // the ops touch one block; keep set-up small
+    flash::Chip chip(g, true);
+    const std::size_t bits = g.pageBits();
+    std::uint64_t seed = 7;
+    for (std::uint32_t wl = 0; wl < 2; ++wl) {
+        for (const bool msb : {false, true}) {
+            const BitVector d = randomBits(bits, seed++);
+            chip.programPage({0, 0, 0, wl, msb}, &d);
+        }
+    }
+    const bool co_located = state.range(0) == 0;
+    for (auto _ : state) {
+        BitVector out =
+            co_located
+                ? chip.opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, false})
+                : chip.opLocationFree(flash::BitwiseOp::kXor,
+                                      {0, 0, 0, 0, true},
+                                      {0, 0, 0, 1, false});
+        benchmark::DoNotOptimize(out.words().data());
+    }
+    state.SetLabel(co_located ? "co-located" : "location-free");
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bits / 8));
+}
+BENCHMARK(BM_ChipOpPaperPage)->Arg(0)->Arg(1);
 
 void
 BM_FtlWritePath(benchmark::State &state)

@@ -72,6 +72,15 @@ BitVector::popcount() const
     return n;
 }
 
+bool
+BitVector::oddParity() const
+{
+    std::uint64_t fold = 0;
+    for (auto w : words_)
+        fold ^= w;
+    return (std::popcount(fold) & 1) != 0;
+}
+
 BitVector
 BitVector::slice(std::size_t pos, std::size_t len) const
 {

@@ -59,6 +59,10 @@ class BitVector
     /** Number of one-bits. */
     std::size_t popcount() const;
 
+    /** Whether popcount() is odd.  XOR-folds the words first, so it
+     *  costs one popcount, not one per word. */
+    bool oddParity() const;
+
     /** Extract bits [pos, pos+len) as a new vector. */
     BitVector slice(std::size_t pos, std::size_t len) const;
 

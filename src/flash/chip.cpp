@@ -138,12 +138,33 @@ Chip::predictedRber(const ChipPageAddr &a)
     return base * wearMultiplierAt(a) * fault;
 }
 
+namespace {
+
+/**
+ * The latch array every chip on this thread senses through.  Reuse is
+ * safe because every MicroProgram starts with an init step that
+ * overwrites every node (parabit-verify's init-first invariant), so no
+ * state of one op reaches the next.  One array per thread, not per
+ * chip: a paper-geometry device has 128 chips.
+ */
+LatchArray &
+scratchLatchArray(std::size_t width)
+{
+    thread_local LatchArray scratch(0);
+    if (scratch.width() != width)
+        scratch = LatchArray(width);
+    return scratch;
+}
+
+} // namespace
+
 BitVector
 Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
             const WordlineData &self, const WordlineData &wl_m,
             const WordlineData &wl_n, std::uint32_t pe_cycles,
             int *bit_errors, double wear_mult)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFlashArray);
     const Plane &pl = plane(sense_addr.die, sense_addr.plane);
     if (pl.dead())
         panic("Chip::runOp: operation issued to a dead plane "
@@ -153,9 +174,8 @@ Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
         (faults_.rberMultiplier ? faults_.rberMultiplier(sense_addr) : 1.0) *
         wear_mult;
     const bool noisy_rber = errorModel_.enabled() && mult > 0.0;
-    const std::size_t width = geom_.pageBits();
 
-    LatchArray la(width);
+    LatchArray &la = scratchLatchArray(geom_.pageBits());
     if (!noisy_rber && !pl.hasStuckBitlines()) {
         la.execute(prog, self, wl_m, wl_n);
         if (bit_errors)
@@ -169,11 +189,11 @@ Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
         pl.applyStuckBits(so);
     };
     la.execute(prog, self, wl_m, wl_n, noise);
+    // Save the noisy result before the clean re-run overwrites it.
     BitVector noisy = la.out();
     if (bit_errors) {
-        LatchArray clean(width);
-        clean.execute(prog, self, wl_m, wl_n);
-        *bit_errors = static_cast<int>((noisy ^ clean.out()).popcount());
+        la.execute(prog, self, wl_m, wl_n);
+        *bit_errors = static_cast<int>((noisy ^ la.out()).popcount());
     }
     return noisy;
 }

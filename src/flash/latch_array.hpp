@@ -19,6 +19,11 @@
  * An optional noise hook lets the error model flip SO bits after each
  * sensing, which is exactly where real sensing errors enter (and why the
  * paper notes ECC cannot run after ParaBit ops).
+ *
+ * Every step updates the nodes in place with plain word loops, so an
+ * array allocates only when it is built: one array can serve any number
+ * of programs back to back, because each program starts with an init
+ * step that overwrites every node.
  */
 
 #ifndef PARABIT_FLASH_LATCH_ARRAY_HPP_
@@ -62,6 +67,8 @@ class LatchArray
      * and @p wl_n operand N (its LSB page); @p self is ignored.
      *
      * @param noise optional sensing-error hook.
+     *
+     * Panics if a sensed page is not width() bits wide.
      */
     void execute(const MicroProgram &prog, const WordlineData &self,
                  const WordlineData &wl_m = {}, const WordlineData &wl_n = {},
@@ -79,7 +86,8 @@ class LatchArray
     /// @}
 
   private:
-    void deriveSo(const WordlineData &wl, VRead v);
+    /** SO <- the sensing of @p wl at @p v, inverted if @p inverted. */
+    void deriveSo(const WordlineData &wl, VRead v, bool inverted);
 
     std::size_t width_;
     BitVector so_, a_, c_, b_, out_;

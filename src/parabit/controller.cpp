@@ -112,12 +112,6 @@ cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
     return {};
 }
 
-bool
-oddParity(const BitVector &v)
-{
-    return (v.popcount() & 1) != 0;
-}
-
 } // namespace
 
 bool
@@ -261,7 +255,7 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         if (!req.expectedParity)
             return true;
         ++stats.parityChecks;
-        return oddParity(v) == *req.expectedParity;
+        return v.oddParity() == *req.expectedParity;
     };
 
     const int max_votes =
@@ -369,10 +363,6 @@ Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
     const ssd::sched::TxGroup read_g = ssd_->submitOps(read_ops, at);
     ssd_->drainTransactions();
     const Tick reads_done = ssd_->groupCompletion(read_g, at);
-    if (x_out)
-        *x_out = x_data;
-    if (y_out)
-        *y_out = y_data;
 
     // Phase 2: program both pages onto one fresh wordline.  The pair
     // claims two scratch LPNs so the FTL tracks the copies.
@@ -385,6 +375,11 @@ Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
                       functional ? &y_data : nullptr, prog_ops);
     stats.pagePrograms += 2;
     stats.reallocBytes += 2 * page;
+    // The program copied the payloads into flash; hand them on.
+    if (x_out)
+        *x_out = std::move(x_data);
+    if (y_out)
+        *y_out = std::move(y_data);
     const ssd::sched::TxGroup prog_g = ssd_->submitOps(prog_ops, reads_done);
     ssd_->drainTransactions();
     ready = ssd_->groupCompletion(prog_g, reads_done);
@@ -492,7 +487,8 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                     return ssd_->chipAt(loc.channel, loc.chip)
                         .opBufferedOperand(op, *x_buf, chipAddr(loc), e);
                 };
-            req.fallback = host_fallback;
+            if (policy_.enabled)
+                req.fallback = host_fallback;
             SenseOutcome so = runSense(req, ready, stats);
             out.result = std::move(so.data);
             out.status = so.status;
@@ -567,7 +563,8 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                     .opLocationFree(op, chipAddr(m), chipAddr(n), e,
                                     variant);
             };
-        req.fallback = host_fallback;
+        if (policy_.enabled)
+            req.fallback = host_fallback;
         SenseOutcome so = runSense(req, ready, stats);
         out.result = std::move(so.data);
         out.status = so.status;
@@ -579,7 +576,12 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
     // ----- Co-located modes. ------------------------------------------
     flash::PhysPageAddr wl_addr{};
     bool need_realloc = true;
+    // runSense reads the parity prediction and the fallback only under
+    // the reliability policy, so only then are operand payloads kept.
+    const bool verify = policy_.enabled && functional;
     BitVector x_known, y_known; ///< operand payloads read along the way
+    BitVector *x_keep = verify ? &x_known : nullptr;
+    BitVector *y_keep = verify ? &y_known : nullptr;
 
     if (mode == Mode::kPreAllocated) {
         if (x_addr && x_addr->sameWordline(*y_addr)) {
@@ -612,7 +614,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                 ready = ssd_->scheduleOps(ops, ready);
                 const auto re = reallocatePair(
                     x_lpn, functional ? &x_data : nullptr, y_lpn, false,
-                    ready, stats, ready, &x_known, &y_known);
+                    ready, stats, ready, x_keep, y_keep);
                 if (!re)
                     return degrade(ready);
                 wl_addr = *re;
@@ -626,14 +628,12 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         // operands, re-pair them on a fresh wordline.
         const auto re =
             reallocatePair(x_lpn, x_buf, y_lpn, x_lpn.has_value(), at, stats,
-                           ready, &x_known, &y_known);
+                           ready, x_keep, y_keep);
         if (!re)
             return degrade(ready);
         wl_addr = *re;
     }
 
-    const bool have_operands =
-        functional && !x_known.empty() && !y_known.empty();
     const flash::MicroProgram &prog = flash::coLocatedProgram(op);
     SenseRequest req;
     req.loc = wl_addr;
@@ -644,19 +644,20 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             return ssd_->chipAt(wl_addr.channel, wl_addr.chip)
                 .opCoLocated(op, chipAddr(wl_addr), e);
         };
-    if (have_operands) {
+    if (verify && !x_known.empty() && !y_known.empty()) {
         // Operand payloads are in hand: the XOR/XNOR parities are
         // predictable, and the fallback is a free exact recompute.
         if (op == flash::BitwiseOp::kXor)
-            req.expectedParity = oddParity(x_known) != oddParity(y_known);
+            req.expectedParity = x_known.oddParity() != y_known.oddParity();
         else if (op == flash::BitwiseOp::kXnor)
-            req.expectedParity = (oddParity(x_known) != oddParity(y_known)) !=
-                                 ((x_known.size() & 1) != 0);
-        req.fallback = [op, x_known,
-                        y_known](Tick &) -> std::optional<BitVector> {
-            return cpuBitwise(op, x_known, y_known);
+            req.expectedParity =
+                (x_known.oddParity() != y_known.oddParity()) !=
+                ((x_known.size() & 1) != 0);
+        req.fallback = [op, x = std::move(x_known), y = std::move(y_known)](
+                           Tick &) -> std::optional<BitVector> {
+            return cpuBitwise(op, x, y);
         };
-    } else {
+    } else if (policy_.enabled) {
         req.fallback = host_fallback;
     }
     SenseOutcome so = runSense(req, ready, stats);
@@ -837,15 +838,16 @@ Controller::executeNot(bool msb_page, nvme::Lpn x, std::uint32_t pages,
                 return ssd_->chipAt(loc.channel, loc.chip)
                     .opCoLocated(op, chipAddr(loc), e);
             };
-        if (have_data) {
+        if (policy_.enabled && have_data) {
             // parity(~x) = parity(x) ^ (bits & 1); the payload is in
             // hand, so the fallback is a free exact recompute.
             req.expectedParity =
-                oddParity(data) != ((data.size() & 1) != 0);
-            req.fallback = [data](Tick &) -> std::optional<BitVector> {
+                data.oddParity() != ((data.size() & 1) != 0);
+            req.fallback = [data = std::move(data)](
+                               Tick &) -> std::optional<BitVector> {
                 return ~data;
             };
-        } else {
+        } else if (policy_.enabled) {
             req.fallback = [this, &ftl, &res, lpn = x + p, functional](
                                Tick &rdy) -> std::optional<BitVector> {
                 if (!functional || !ftl.pageAccessible(lpn))

@@ -237,7 +237,9 @@ class Controller
         /** One fresh execution; arg receives injected bit errors. */
         std::function<BitVector(int *)> execute;
         /** Host-side recompute; books its own timing; nullopt = the
-         *  operands are unreachable. */
+         *  operands are unreachable.  Like expectedParity, read only
+         *  under an enabled ReliabilityPolicy, so callers leave it
+         *  unset otherwise. */
         std::function<std::optional<BitVector>(Tick &)> fallback;
         /** Predicted result parity when the operand payloads are known
          *  (XOR/XNOR/NOT). */

@@ -211,7 +211,9 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         txs_.clear();
         phases_.clear();
         trace_.clear();
+        touched_.clear();
         batchFirstId_ = nextId_;
+        ++batchSeq_;
         batchOpen_ = true;
     }
     const std::size_t txIdx = txs_.size();
@@ -231,7 +233,13 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
     }
     for (std::size_t p = added.phaseBegin; p < added.phaseEnd; ++p)
     {
-        Resource &r = resources_[phases_[p].resource];
+        const std::size_t res = phases_[p].resource;
+        Resource &r = resources_[res];
+        if (r.touchedBatch != batchSeq_)
+        {
+            r.touchedBatch = batchSeq_;
+            touched_.push_back(res);
+        }
         r.q.push_back({txIdx, p});
         maxQueueDepth_.noteMax(static_cast<double>(r.q.size()));
     }
@@ -294,8 +302,11 @@ TransactionScheduler::drain()
         }
         batchMax = std::max(batchMax, st.complete);
     }
-    for (Resource &r : resources_)
+    // Only resources this batch queued work on can hold residual state;
+    // the sched.queue.drained audit still scans every resource.
+    for (const std::size_t res : touched_)
     {
+        const Resource &r = resources_[res];
         if (!r.q.empty() || r.busy)
         {
             panic("TransactionScheduler::drain: residual queue state");

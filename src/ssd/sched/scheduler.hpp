@@ -304,6 +304,9 @@ class TransactionScheduler
         std::uint32_t gen = 0;
         bool onChannel = false;
         std::uint32_t index = 0; ///< channel or array-resource ordinal
+        /** batchSeq_ of the last batch that queued work here; dedups
+         *  touched_. */
+        std::uint64_t touchedBatch = 0;
     };
 
     std::size_t channelResource(std::uint32_t channel) const;
@@ -337,6 +340,10 @@ class TransactionScheduler
     std::vector<TxState> txs_;        ///< current batch
     std::vector<Phase> phases_;       ///< current batch, by transaction
     std::uint64_t batchFirstId_ = 0;  ///< id of txs_[0]
+    std::uint64_t batchSeq_ = 0;      ///< current batch, counted from 1
+    /** Resources the current batch queued work on, each once: the only
+     *  ones a drain can leave residual state on. */
+    std::vector<std::size_t> touched_;
     std::vector<ClassLatency> latency_; ///< per TxClass, if sampling
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
     std::vector<TraceEntry> trace_;

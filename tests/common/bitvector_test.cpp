@@ -148,5 +148,24 @@ TEST(BitVector, PopcountMatchesNaiveOnRandomData)
     EXPECT_EQ(v.popcount(), expected);
 }
 
+TEST(BitVector, OddParityMatchesPopcountOnOddWidths)
+{
+    Rng rng(4242);
+    EXPECT_FALSE(BitVector().oddParity());
+    for (const std::size_t n : {1u, 7u, 63u, 65u, 127u, 1001u, 65537u}) {
+        for (int trial = 0; trial < 8; ++trial) {
+            BitVector v(n);
+            for (auto &w : v.words())
+                w = rng.next();
+            v.maskTail();
+            EXPECT_EQ(v.oddParity(), (v.popcount() & 1) != 0)
+                << "width " << n << " trial " << trial;
+            v.set(n / 2, !v.get(n / 2));
+            EXPECT_EQ(v.oddParity(), (v.popcount() & 1) != 0)
+                << "width " << n << " trial " << trial << " after a flip";
+        }
+    }
+}
+
 } // namespace
 } // namespace parabit

@@ -127,11 +127,81 @@ TEST(LatchArray, InjectedSoFlipCorruptsExactlyThatBitline)
     EXPECT_TRUE(diff.get(5));
 }
 
-TEST(LatchArray, WidthMismatchAssertsInDebug)
+TEST(LatchArray, WidthMismatchPanics)
 {
-    LatchArray la(32);
-    EXPECT_EQ(la.width(), 32u);
-    EXPECT_EQ(la.out().size(), 32u);
+    // The kernel reads whole words of every sensed page, so a page of
+    // another width must panic in every build, not read out of bounds.
+    LatchArray la(512);
+    const BitVector page(512, true), narrow(448, true), empty;
+    EXPECT_DEATH(la.execute(coLocatedProgram(BitwiseOp::kAnd),
+                            WordlineData{&page, &narrow}),
+                 "448 bits on a 512-bitline array");
+    // An empty intermediate page fed to a chain step (perfbench known
+    // failure 4) stays a panic.
+    EXPECT_DEATH(la.execute(coLocatedProgram(BitwiseOp::kXor),
+                            WordlineData{&empty, &page}),
+                 "0 bits on a 512-bitline array");
+    EXPECT_DEATH(la.execute(locationFreeProgram(BitwiseOp::kOr,
+                                                LocFreeVariant::kMsbLsb),
+                            {}, WordlineData{nullptr, &page},
+                            WordlineData{&narrow, nullptr}),
+                 "448 bits on a 512-bitline array");
+}
+
+/** Bits past width() in the last word of every node must stay zero. */
+void
+expectTailsZero(const LatchArray &la, const std::string &what)
+{
+    const std::size_t used = la.width() % 64;
+    if (used == 0)
+        return;
+    const std::uint64_t tail = ~std::uint64_t{0} << used;
+    const BitVector *nodes[] = {&la.so(), &la.a(), &la.c(), &la.b(),
+                                &la.out()};
+    for (const BitVector *node : nodes)
+        EXPECT_EQ(node->words().back() & tail, 0u) << what;
+}
+
+TEST(LatchArray, ReusedArrayMatchesFreshOnOddWidths)
+{
+    // One array runs every co-located and location-free program back to
+    // back, as a chip's shared scratch array does; each result must
+    // equal a fresh array's and the golden function's.
+    Rng rng(4000);
+    for (const std::size_t n : {1u, 63u, 65u, 200u, 517u}) {
+        LatchArray shared(n);
+        for (int k = 0; k < kNumBitwiseOps; ++k) {
+            const auto op = static_cast<BitwiseOp>(k);
+            const BitVector x = randomBits(n, rng);
+            const BitVector y = randomBits(n, rng);
+            const std::string what =
+                std::string(opName(op)) + " width " + std::to_string(n);
+
+            shared.execute(coLocatedProgram(op), WordlineData{&x, &y});
+            EXPECT_EQ(shared.out(), executeCoLocated(op, x, y)) << what;
+            EXPECT_EQ(shared.out(), golden(op, x, y)) << what;
+            expectTailsZero(shared, what + " co-located");
+
+            const BitVector junk = randomBits(n, rng);
+            for (auto variant :
+                 {LocFreeVariant::kMsbLsb, LocFreeVariant::kLsbLsb}) {
+                const bool m_in_msb = variant == LocFreeVariant::kMsbLsb;
+                // Null companions read as erased pages; the M wordline
+                // gets a random companion, the N wordline none.
+                const WordlineData wl_m{m_in_msb ? &junk : &y,
+                                        m_in_msb ? &y : &junk};
+                const WordlineData wl_n{&x, nullptr};
+                shared.execute(locationFreeProgram(op, variant), {}, wl_m,
+                               wl_n);
+                EXPECT_EQ(shared.out(),
+                          executeLocationFree(op, y, x, &junk, nullptr, {},
+                                              variant))
+                    << what;
+                EXPECT_EQ(shared.out(), golden(op, x, y)) << what;
+                expectTailsZero(shared, what + " location-free");
+            }
+        }
+    }
 }
 
 TEST(LatchArray, ChainedExecutionsReuseCircuit)
