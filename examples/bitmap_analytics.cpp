@@ -46,12 +46,14 @@ main()
     std::printf("golden everyday-active count: %llu\n\n",
                 static_cast<unsigned long long>(golden));
 
+    int wrong = 0;
     for (core::Mode mode :
          {core::Mode::kPreAllocated, core::Mode::kReAllocate,
           core::Mode::kLocationFree}) {
         const core::ExecResult r =
             dev.bitwiseChain(flash::BitwiseOp::kAnd, lpns, 1, mode);
         const std::uint64_t count = r.pages[0].popcount();
+        wrong += count != golden;
         std::printf("%-18s count=%llu (%s)  in-flash %.1f us, "
                     "%llu sensings, %llu programs, realloc %llu B\n",
                     core::modeName(mode),
@@ -67,5 +69,5 @@ main()
                 "instead of %llu bytes of daily bitmaps\n",
                 static_cast<unsigned long long>(page_bits / 8),
                 static_cast<unsigned long long>(days * page_bits / 8));
-    return 0;
+    return wrong == 0 ? 0 : 1;
 }

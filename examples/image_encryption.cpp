@@ -91,5 +91,5 @@ main()
                 static_cast<unsigned long long>(end.hostBytes),
                 static_cast<unsigned long long>(end.reallocBytes),
                 end.effectiveTbw(600.0));
-    return 0;
+    return cipher_ok && round_trip ? 0 : 1;
 }

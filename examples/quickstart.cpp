@@ -32,8 +32,10 @@ main()
     // sensing, no data movement at all.
     dev.writeOperandPair(/*x_lpn=*/0, /*y_lpn=*/100, {x}, {y});
 
+    int wrong = 0;
     core::ExecResult r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
                                      core::Mode::kPreAllocated);
+    wrong += r.pages[0] != (x & y);
     std::printf("AND: %zu result bits, %llu sensings, %.1f us in-flash\n",
                 r.pages[0].size(),
                 static_cast<unsigned long long>(r.stats.senseOps),
@@ -48,14 +50,17 @@ main()
     dev.writeDataLsbOnlyInPlane(300, {y}, 0);
     r = dev.bitwise(flash::BitwiseOp::kXor, 200, 300, 1,
                     core::Mode::kLocationFree);
+    wrong += r.pages[0] != (x ^ y);
     std::printf("XOR (location-free): %llu sensings, %.1f us, correct: "
                 "%s\n",
                 static_cast<unsigned long long>(r.stats.senseOps),
                 ticks::toUs(r.stats.elapsed()),
                 r.pages[0] == (x ^ y) ? "yes" : "NO");
 
-    // Unary NOT needs no second operand and no reallocation.
+    // Unary NOT needs no second operand and no reallocation; the
+    // controller picks the LSB- or MSB-page program from the placement.
     r = dev.bitwiseNot(200, 1, core::Mode::kPreAllocated);
+    wrong += r.pages[0] != ~x;
     std::printf("NOT: %.1f us, correct: %s\n",
                 ticks::toUs(r.stats.elapsed()),
                 r.pages[0] == ~x ? "yes" : "NO");
@@ -66,5 +71,5 @@ main()
                 static_cast<unsigned long long>(e.hostBytes),
                 static_cast<unsigned long long>(e.reallocBytes),
                 e.writeAmplification());
-    return 0;
+    return wrong == 0 ? 0 : 1;
 }

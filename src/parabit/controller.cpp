@@ -34,9 +34,9 @@ execStatusName(ExecStatus s)
     return "?";
 }
 
-Controller::Controller(ssd::SsdDevice &ssd)
-    : ssd_(&ssd), scratchLpn_(ssd.ftl().logicalPages() - 1)
+Controller::Controller(ssd::SsdDevice &ssd) : ssd_(&ssd)
 {
+    resetScratch();
     // One registered counter per (mode, op) pair, e.g.
     // "parabit.ops.ParaBit-ReAlloc.XOR".
     opCounters_.reserve(static_cast<std::size_t>(kNumModes) *
@@ -95,7 +95,8 @@ chipAddr(const flash::PhysPageAddr &a)
     return flash::ChipPageAddr{a.die, a.plane, a.block, a.wordline, a.msb};
 }
 
-/** Host-CPU reference computation for the fallback path. */
+/** Host-CPU reference computation for the fallback path; NOT inverts
+ *  its one operand, @p y. */
 BitVector
 cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
 {
@@ -107,9 +108,29 @@ cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
       case flash::BitwiseOp::kNand: return ~(x & y);
       case flash::BitwiseOp::kNor: return ~(x | y);
       case flash::BitwiseOp::kNotLsb:
-      case flash::BitwiseOp::kNotMsb: return ~x;
+      case flash::BitwiseOp::kNotMsb: return ~y;
     }
     return {};
+}
+
+/** Result parity predicted from the operand payloads, for the ops whose
+ *  parity follows from theirs (parity(~v) = parity(v) ^ (bits & 1)). */
+std::optional<bool>
+predictParity(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
+{
+    const bool odd_width = (y.size() & 1) != 0;
+    switch (op) {
+      case flash::BitwiseOp::kXor: return x.oddParity() != y.oddParity();
+      case flash::BitwiseOp::kXnor:
+        return (x.oddParity() != y.oddParity()) != odd_width;
+      case flash::BitwiseOp::kNotLsb:
+      case flash::BitwiseOp::kNotMsb: return y.oddParity() != odd_width;
+      case flash::BitwiseOp::kAnd:
+      case flash::BitwiseOp::kOr:
+      case flash::BitwiseOp::kNand:
+      case flash::BitwiseOp::kNor: return std::nullopt;
+    }
+    return std::nullopt;
 }
 
 } // namespace
@@ -139,8 +160,8 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     b.maskTail();
 
     std::vector<ssd::PhysOp> ops;
-    const nvme::Lpn sx = scratchLpn_--;
-    const nvme::Lpn sy = scratchLpn_--;
+    const nvme::Lpn sx = takeScratchLpn();
+    const nvme::Lpn sy = takeScratchLpn();
     const auto pair = ftl.writePair(sx, sy, &a, &b, ops, p);
     stats.pagePrograms += 2;
     ready = ssd_->scheduleOps(ops, ready);
@@ -228,22 +249,8 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
     // Consistent faults (stuck bitlines) make every redundant run agree
     // on the same wrong answer; the known-answer self-test screens them
     // out before any voting is trusted.
-    if (!planeComputeTrusted(req.loc, ready, stats)) {
-        if (policy_.hostFallback && req.fallback) {
-            if (auto fb = req.fallback(ready)) {
-                ++stats.hostFallbacks;
-                out.data = std::move(*fb);
-                out.done = ready;
-                return out;
-            }
-            out.status = ExecStatus::kDataLoss;
-            out.done = ready;
-            return out;
-        }
-        out.status = ExecStatus::kUncorrectable;
-        out.done = ready;
-        return out;
-    }
+    if (!planeComputeTrusted(req.loc, ready, stats))
+        return hostFallback(req, ready, stats);
 
     auto run = [&] {
         int errors = 0;
@@ -313,82 +320,113 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
     }
 
     const Tick sensed = book(executions, accepted.has_value());
-    if (accepted) {
-        out.data = std::move(*accepted);
-        out.done = sensed;
-        return out;
-    }
+    if (!accepted)
+        return hostFallback(req, sensed, stats); // ladder exhausted
+    out.data = std::move(*accepted);
+    out.done = sensed;
+    return out;
+}
 
-    // Ladder exhausted: degrade to the host path or report.
-    ready = sensed;
+Controller::SenseOutcome
+Controller::hostFallback(const SenseRequest &req, Tick ready,
+                         ExecStats &stats)
+{
+    SenseOutcome out;
+    out.status = ExecStatus::kUncorrectable;
     if (policy_.hostFallback && req.fallback) {
         if (auto fb = req.fallback(ready)) {
             ++stats.hostFallbacks;
             out.data = std::move(*fb);
-            out.done = ready;
-            return out;
+            out.status = ExecStatus::kOk;
+        } else {
+            out.status = ExecStatus::kDataLoss;
         }
-        out.status = ExecStatus::kDataLoss;
-        out.done = ready;
-        return out;
     }
-    out.status = ExecStatus::kUncorrectable;
     out.done = ready;
     return out;
 }
 
 std::optional<flash::PhysPageAddr>
-Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
-                           const BitVector *x_buf, nvme::Lpn y_lpn,
-                           bool read_x, Tick at, ExecStats &stats,
-                           Tick &ready, BitVector *x_out, BitVector *y_out)
+Controller::resolveOperand(nvme::Lpn lpn, Tick at)
 {
     ssd::Ftl &ftl = ssd_->ftl();
-    const Bytes page = ssd_->geometry().pageBytes;
-
-    // Phase 1: read the operands that live in flash.
-    std::vector<ssd::PhysOp> read_ops;
-    BitVector x_data, y_data;
-    if (x_lpn && read_x) {
-        x_data = ftl.readPage(*x_lpn, read_ops);
-        ++stats.pageReads;
-    } else if (x_buf) {
-        x_data = *x_buf;
+    auto addr = ftl.lookup(lpn);
+    if (addr && !ftl.pageAccessible(lpn)) {
+        // A dead plane takes its resident operands with it — unless the
+        // device carries RAIN parity, which rebuilds the page on a live
+        // plane; only when that fails too is the data genuinely gone.
+        ssd_->repairPage(lpn, at);
+        addr = ftl.pageAccessible(lpn) ? ftl.lookup(lpn) : std::nullopt;
     }
-    y_data = ftl.readPage(y_lpn, read_ops);
+    return addr;
+}
+
+BitVector
+Controller::loadOperand(std::optional<nvme::Lpn> lpn, const BitVector *buf,
+                        std::vector<ssd::PhysOp> &ops, ExecStats &stats)
+{
+    if (buf)
+        return *buf;
+    if (!lpn)
+        return {};
     ++stats.pageReads;
-    // Emit the operand reads as one scheduler batch: co-plane reads
-    // arbitrate against each other (and against co-pending traffic)
-    // rather than being booked one call at a time.
-    const ssd::sched::TxGroup read_g = ssd_->submitOps(read_ops, at);
-    ssd_->drainTransactions();
-    const Tick reads_done = ssd_->groupCompletion(read_g, at);
+    return ssd_->ftl().readPage(*lpn, ops);
+}
+
+std::optional<flash::PhysPageAddr>
+Controller::stageLsbCopy(nvme::Lpn lpn, std::optional<ssd::PlaneIndex> plane,
+                         Tick &ready, ExecStats &stats, BitVector *keep)
+{
+    std::vector<ssd::PhysOp> ops;
+    BitVector data = loadOperand(lpn, nullptr, ops, stats);
+    const auto copy = ssd_->ftl().writeLsbOnly(
+        takeScratchLpn(), ssd_->config().storeData ? &data : nullptr, ops,
+        plane);
+    ++stats.pagePrograms;
+    stats.reallocBytes += ssd_->geometry().pageBytes;
+    ready = ssd_->scheduleOps(ops, ready);
+    if (keep)
+        *keep = std::move(data);
+    return copy;
+}
+
+std::optional<flash::PhysPageAddr>
+Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
+                           const BitVector *x_buf, nvme::Lpn y_lpn,
+                           Tick &ready, ExecStats &stats, BitVector *x_out,
+                           BitVector *y_out)
+{
+    // Phase 1: read the operands that live in flash, as one scheduler
+    // batch: co-plane reads arbitrate against each other (and against
+    // co-pending traffic) rather than being booked one call at a time.
+    std::vector<ssd::PhysOp> read_ops;
+    BitVector x_data = loadOperand(x_lpn, x_buf, read_ops, stats);
+    BitVector y_data = loadOperand(y_lpn, nullptr, read_ops, stats);
+    ready = ssd_->scheduleOps(read_ops, ready);
 
     // Phase 2: program both pages onto one fresh wordline.  The pair
     // claims two scratch LPNs so the FTL tracks the copies.
     std::vector<ssd::PhysOp> prog_ops;
-    const nvme::Lpn sx = scratchLpn_--;
-    const nvme::Lpn sy = scratchLpn_--;
+    const nvme::Lpn sx = takeScratchLpn();
+    const nvme::Lpn sy = takeScratchLpn();
     const bool functional = ssd_->config().storeData;
     const auto pair =
-        ftl.writePair(sx, sy, functional ? &x_data : nullptr,
-                      functional ? &y_data : nullptr, prog_ops);
+        ssd_->ftl().writePair(sx, sy, functional ? &x_data : nullptr,
+                              functional ? &y_data : nullptr, prog_ops);
     stats.pagePrograms += 2;
-    stats.reallocBytes += 2 * page;
+    stats.reallocBytes += 2 * ssd_->geometry().pageBytes;
     // The program copied the payloads into flash; hand them on.
     if (x_out)
         *x_out = std::move(x_data);
     if (y_out)
         *y_out = std::move(y_data);
-    const ssd::sched::TxGroup prog_g = ssd_->submitOps(prog_ops, reads_done);
-    ssd_->drainTransactions();
-    ready = ssd_->groupCompletion(prog_g, reads_done);
+    ready = ssd_->scheduleOps(prog_ops, ready);
     if (!pair)
         return std::nullopt;
     return pair->lsb;
 }
 
-Controller::PageOpOutcome
+Controller::SenseOutcome
 Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                           const BitVector *x_buf, nvme::Lpn y_lpn, Mode mode,
                           Tick at, Bytes result_xfer, ExecStats &stats)
@@ -396,276 +434,190 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
     const bool functional = ssd_->config().storeData;
+    const bool unary = flash::isUnary(op);
+    if (unary) {
+        x_lpn.reset();
+        x_buf = nullptr;
+    }
 
-    auto y_addr = ftl.lookup(y_lpn);
-    if (!y_addr)
-        fatal("ParaBit: second operand LPN is unmapped");
-
+    // ----- Resolve the operands. ---------------------------------------
+    const auto y_addr = resolveOperand(y_lpn, at);
     std::optional<flash::PhysPageAddr> x_addr =
-        x_lpn ? ftl.lookup(*x_lpn) : std::nullopt;
-    if (x_lpn && !x_addr)
-        fatal("ParaBit: first operand LPN is unmapped");
-
-    PageOpOutcome out;
-    out.senseLoc = *y_addr;
-    Tick ready = at;
-
-    // A dead plane takes its resident operands with it — unless the
-    // device carries RAIN parity, which rebuilds the page on a live
-    // plane; only when that fails too is the data genuinely gone.
-    if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at)) {
-        y_addr = ftl.lookup(y_lpn);
-        out.senseLoc = *y_addr;
-    }
-    if (x_lpn && !ftl.pageAccessible(*x_lpn) && ssd_->repairPage(*x_lpn, at))
-        x_addr = ftl.lookup(*x_lpn);
-    if (!ftl.pageAccessible(y_lpn) ||
-        (x_lpn && !ftl.pageAccessible(*x_lpn))) {
-        out.status = ExecStatus::kDataLoss;
-        out.done = at;
-        return out;
+        x_lpn ? resolveOperand(*x_lpn, at) : std::nullopt;
+    if (!y_addr || (x_lpn && !x_addr)) {
+        noteOps(mode, op, 1);
+        SenseOutcome lost;
+        lost.status = ExecStatus::kDataLoss;
+        lost.done = at;
+        return lost;
     }
 
-    // Host-side fallback: conventional ECC-protected reads of both
-    // operands plus CPU bitwise compute — bit-exact by construction.
-    auto host_fallback = [this, &ftl, &stats, x_lpn, x_buf, y_lpn, op,
-                          functional](Tick &rdy) -> std::optional<BitVector> {
-        if (!functional)
-            return std::nullopt;
-        std::vector<ssd::PhysOp> ops;
-        BitVector x;
-        if (x_buf) {
-            x = *x_buf;
-        } else if (x_lpn && ftl.pageAccessible(*x_lpn)) {
-            x = ftl.readPage(*x_lpn, ops);
-            ++stats.pageReads;
-        } else {
-            return std::nullopt;
-        }
-        if (!ftl.pageAccessible(y_lpn))
-            return std::nullopt;
-        BitVector y = ftl.readPage(y_lpn, ops);
-        ++stats.pageReads;
-        rdy = ssd_->scheduleOps(ops, rdy);
-        return cpuBitwise(op, x, y);
-    };
-
-    // Graceful degradation when operands cannot be staged/paired for
-    // in-flash execution at all.
-    auto degrade = [&](Tick rdy) {
-        PageOpOutcome o;
-        o.senseLoc = *y_addr;
-        if (policy_.enabled && policy_.hostFallback) {
-            if (auto fb = host_fallback(rdy)) {
-                ++stats.hostFallbacks;
-                o.result = std::move(*fb);
-                o.done = rdy;
-                return o;
-            }
-        }
-        o.status = ExecStatus::kUncorrectable;
-        o.done = rdy;
-        return o;
-    };
-
-    // ----- Location-free: sense across wordlines, no reallocation. ----
-    if (mode == Mode::kLocationFree) {
-        if (!x_lpn) {
-            // Chain continuation: the running result is re-loaded from
-            // the controller buffer through the data-load path while Y
-            // is sensed from its cells (paper Section 4.2) — no flash
-            // program, no staging.
-            const flash::MicroProgram &prog = flash::locationFreeProgram(
-                op, flash::LocFreeVariant::kLsbLsb);
-            SenseRequest req;
-            req.loc = *y_addr;
-            req.senseCount = prog.senseCount();
-            req.xferIn = page;
-            req.resultXfer = result_xfer;
-            if (functional && x_buf != nullptr)
-                req.execute = [this, op, x_buf, loc = *y_addr](int *e) {
-                    return ssd_->chipAt(loc.channel, loc.chip)
-                        .opBufferedOperand(op, *x_buf, chipAddr(loc), e);
-                };
-            if (policy_.enabled)
-                req.fallback = host_fallback;
-            SenseOutcome so = runSense(req, ready, stats);
-            out.result = std::move(so.data);
-            out.status = so.status;
-            out.done = so.done;
-            return out;
-        }
-        // Stage a timing-only chain result or a cross-plane operand
-        // into the plane of Y first; rare under a sane layout.
-        if (!x_addr || !x_addr->sameBitlines(*y_addr)) {
+    SenseRequest req;
+    req.loc = *y_addr;
+    req.resultXfer = result_xfer;
+    // runSense reads the parity prediction and the fallback only under
+    // the reliability policy, so only then are they built and operand
+    // payloads kept.
+    const bool verify = policy_.enabled && functional;
+    BitVector x_known, y_known; ///< operand payloads read along the way
+    BitVector *x_keep = verify ? &x_known : nullptr;
+    BitVector *y_keep = verify ? &y_known : nullptr;
+    if (verify) {
+        // Host-side fallback: conventional ECC-protected reads of the
+        // operands plus CPU bitwise compute — bit-exact by construction.
+        req.fallback = [this, &ftl, &stats, op, unary, x_lpn, x_buf,
+                        y_lpn](Tick &rdy) -> std::optional<BitVector> {
             std::vector<ssd::PhysOp> ops;
-            const nvme::Lpn sx = scratchLpn_--;
-            BitVector staged;
-            if (x_addr) {
-                staged = ftl.readPage(*x_lpn, ops);
-                ++stats.pageReads;
-            } else if (x_buf) {
-                staged = *x_buf;
+            BitVector x;
+            if (!unary) {
+                if (!x_buf && !(x_lpn && ftl.pageAccessible(*x_lpn)))
+                    return std::nullopt;
+                x = loadOperand(x_lpn, x_buf, ops, stats);
             }
-            const ssd::PlaneIndex target = ssd::planeIndex(
-                ssd_->geometry(), {y_addr->channel, y_addr->chip, y_addr->die,
-                                   y_addr->plane});
-            x_addr = ftl.writeLsbOnly(sx, functional ? &staged : nullptr,
-                                      ops, target);
-            ++stats.pagePrograms;
-            stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
-            if (!x_addr)
-                return degrade(ready); // could not stage into Y's plane
-        }
+            if (!ftl.pageAccessible(y_lpn))
+                return std::nullopt;
+            const BitVector y = loadOperand(y_lpn, nullptr, ops, stats);
+            rdy = ssd_->scheduleOps(ops, rdy);
+            return cpuBitwise(op, x, y);
+        };
+    }
+    Tick ready = at;
+    // Graceful degradation when operands cannot be staged or paired for
+    // in-flash execution at all.
+    auto degrade = [&] {
+        noteOps(mode, op, 1);
+        return hostFallback(req, ready, stats);
+    };
 
+    // ----- Stage them per mode and pick the program. -------------------
+    const flash::MicroProgram *prog = nullptr;
+    if (unary) {
+        // NOT senses the operand's own wordline; no co-location is ever
+        // needed.  ReAlloc still pays the paper's reallocation, moving
+        // the page to an LSB-only copy; if the copy cannot be placed the
+        // original is sensed in place.
+        if (mode == Mode::kReAllocate) {
+            if (const auto moved =
+                    stageLsbCopy(y_lpn, std::nullopt, ready, stats, y_keep))
+                req.loc = *moved;
+        }
+        op = req.loc.msb ? flash::BitwiseOp::kNotMsb
+                         : flash::BitwiseOp::kNotLsb;
+    } else if (mode == Mode::kLocationFree && !x_lpn) {
+        // Chain continuation: the running result is re-loaded from the
+        // controller buffer through the data-load path while Y is
+        // sensed from its cells (paper Section 4.2) — no flash program.
+        // The buffer plays an LSB page, so an MSB-resident Y is first
+        // copied onto an LSB page.
+        if (y_addr->msb) {
+            const auto copy =
+                stageLsbCopy(y_lpn, std::nullopt, ready, stats, nullptr);
+            if (!copy)
+                return degrade();
+            req.loc = *copy;
+        }
+        prog = &flash::locationFreeProgram(op, flash::LocFreeVariant::kLsbLsb);
+        req.xferIn = page;
+        if (functional && x_buf != nullptr)
+            req.execute = [this, op, x_buf, loc = req.loc](int *e) {
+                return ssd_->chipAt(loc.channel, loc.chip)
+                    .opBufferedOperand(op, *x_buf, chipAddr(loc), e);
+            };
+    } else if (mode == Mode::kLocationFree) {
+        // Stage a cross-plane operand into the plane of Y first (rare
+        // under a sane layout), and likewise when both are MSB pages,
+        // for which no variant is defined: the copy is an LSB page.
+        if (!x_addr->sameBitlines(*y_addr) || (x_addr->msb && y_addr->msb)) {
+            x_addr = stageLsbCopy(
+                *x_lpn,
+                ssd::planeIndex(ssd_->geometry(),
+                                {y_addr->channel, y_addr->chip, y_addr->die,
+                                 y_addr->plane}),
+                ready, stats, nullptr);
+            if (!x_addr)
+                return degrade(); // could not stage into Y's plane
+        }
         // Pick the program variant from the physical placement; the
         // operations are commutative, so roles can swap.
         flash::PhysPageAddr m = *x_addr, n = *y_addr;
         flash::LocFreeVariant variant = flash::LocFreeVariant::kMsbLsb;
-        if (m.msb && !n.msb) {
-            // canonical
-        } else if (!m.msb && n.msb) {
+        if (!m.msb && n.msb)
             std::swap(m, n);
-        } else if (!m.msb && !n.msb) {
+        else if (!m.msb && !n.msb)
             variant = flash::LocFreeVariant::kLsbLsb;
-        } else {
-            // Both MSB: use the LSB-LSB shape with MSB-read semantics is
-            // not defined; stage X into an LSB page instead.
-            std::vector<ssd::PhysOp> ops;
-            const nvme::Lpn sx = scratchLpn_--;
-            BitVector staged = functional ? ftl.readPage(*x_lpn, ops)
-                                          : BitVector();
-            ++stats.pageReads;
-            const ssd::PlaneIndex target = ssd::planeIndex(
-                ssd_->geometry(), {n.channel, n.chip, n.die, n.plane});
-            const auto staged_m =
-                ftl.writeLsbOnly(sx, functional ? &staged : nullptr, ops,
-                                 target);
-            ++stats.pagePrograms;
-            stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
-            if (!staged_m)
-                return degrade(ready);
-            m = *staged_m;
-            variant = flash::LocFreeVariant::kLsbLsb;
-        }
-
-        const flash::MicroProgram &prog = flash::locationFreeProgram(
-            op, variant);
-        SenseRequest req;
+        prog = &flash::locationFreeProgram(op, variant);
         req.loc = n;
-        req.senseCount = prog.senseCount();
-        req.resultXfer = result_xfer;
         if (functional)
             req.execute = [this, op, m, n, variant](int *e) {
                 return ssd_->chipAt(m.channel, m.chip)
                     .opLocationFree(op, chipAddr(m), chipAddr(n), e,
                                     variant);
             };
-        if (policy_.enabled)
-            req.fallback = host_fallback;
-        SenseOutcome so = runSense(req, ready, stats);
-        out.result = std::move(so.data);
-        out.status = so.status;
-        out.senseLoc = n;
-        out.done = so.done;
-        return out;
-    }
-
-    // ----- Co-located modes. ------------------------------------------
-    flash::PhysPageAddr wl_addr{};
-    bool need_realloc = true;
-    // runSense reads the parity prediction and the fallback only under
-    // the reliability policy, so only then are operand payloads kept.
-    const bool verify = policy_.enabled && functional;
-    BitVector x_known, y_known; ///< operand payloads read along the way
-    BitVector *x_keep = verify ? &x_known : nullptr;
-    BitVector *y_keep = verify ? &y_known : nullptr;
-
-    if (mode == Mode::kPreAllocated) {
-        if (x_addr && x_addr->sameWordline(*y_addr)) {
-            // Ideal pre-allocation: operands already share the MLCs.
-            wl_addr = *y_addr;
-            need_realloc = false;
-        } else if (!y_addr->msb) {
-            // Chain continuation: drop X (buffer or flash) into the free
-            // MSB of Y's wordline — a single program.
-            BitVector x_data;
-            std::vector<ssd::PhysOp> ops;
-            if (x_buf) {
-                x_data = *x_buf;
-            } else if (x_addr) {
-                x_data = ftl.readPage(*x_lpn, ops);
-                ++stats.pageReads;
-            }
-            const nvme::Lpn sx = scratchLpn_--;
-            if (ftl.writeIntoFreeMsb(sx, *y_addr,
-                                     functional ? &x_data : nullptr, ops)) {
-                ++stats.pagePrograms;
-                stats.reallocBytes += page;
-                ready = ssd_->scheduleOps(ops, ready);
-                wl_addr = *y_addr;
-                need_realloc = false;
-            } else if (!ops.empty()) {
-                // The read happened but the MSB was taken (or its block
-                // just got retired); fall through to full reallocation
-                // without re-reading.
-                ready = ssd_->scheduleOps(ops, ready);
-                const auto re = reallocatePair(
-                    x_lpn, functional ? &x_data : nullptr, y_lpn, false,
-                    ready, stats, ready, x_keep, y_keep);
-                if (!re)
-                    return degrade(ready);
-                wl_addr = *re;
-                need_realloc = false;
+    } else {
+        // ----- Co-located modes. ---------------------------------------
+        std::optional<flash::PhysPageAddr> wl;
+        std::optional<nvme::Lpn> pair_x = x_lpn; ///< X still in flash
+        const BitVector *pair_buf = x_buf;
+        BitVector x_data;
+        if (mode == Mode::kPreAllocated) {
+            if (x_addr && x_addr->sameWordline(*y_addr) &&
+                x_addr->msb != y_addr->msb) {
+                // Ideal pre-allocation: operands already share the MLCs.
+                wl = *y_addr;
+            } else if (!y_addr->msb) {
+                // Chain continuation: drop X (buffer or flash) into the
+                // free MSB of Y's wordline — a single program.
+                std::vector<ssd::PhysOp> ops;
+                x_data = loadOperand(x_lpn, x_buf, ops, stats);
+                if (ftl.writeIntoFreeMsb(takeScratchLpn(), *y_addr,
+                                         functional ? &x_data : nullptr,
+                                         ops)) {
+                    ++stats.pagePrograms;
+                    stats.reallocBytes += page;
+                    wl = *y_addr;
+                } else if (!ops.empty()) {
+                    // The read happened but the MSB was taken (or its
+                    // block just got retired): re-pair below without
+                    // re-reading X.
+                    pair_x.reset();
+                    pair_buf = functional ? &x_data : nullptr;
+                }
+                if (!ops.empty())
+                    ready = ssd_->scheduleOps(ops, ready);
             }
         }
+        if (!wl) {
+            // ParaBit-ReAlloc (and PreAllocated fallback): read both
+            // operands, re-pair them on a fresh wordline.
+            wl = reallocatePair(pair_x, pair_buf, y_lpn, ready, stats, x_keep,
+                                y_keep);
+            if (!wl)
+                return degrade();
+        }
+        req.loc = *wl;
     }
 
-    if (need_realloc) {
-        // ParaBit-ReAlloc (and PreAllocated fallback): read both
-        // operands, re-pair them on a fresh wordline.
-        const auto re =
-            reallocatePair(x_lpn, x_buf, y_lpn, x_lpn.has_value(), at, stats,
-                           ready, x_keep, y_keep);
-        if (!re)
-            return degrade(ready);
-        wl_addr = *re;
+    // ----- Sense once, through the ladder. -----------------------------
+    if (!prog) {
+        prog = &flash::coLocatedProgram(op);
+        if (functional)
+            req.execute = [this, op, loc = req.loc](int *e) {
+                return ssd_->chipAt(loc.channel, loc.chip)
+                    .opCoLocated(op, chipAddr(loc), e);
+            };
     }
-
-    const flash::MicroProgram &prog = flash::coLocatedProgram(op);
-    SenseRequest req;
-    req.loc = wl_addr;
-    req.senseCount = prog.senseCount();
-    req.resultXfer = result_xfer;
-    if (functional)
-        req.execute = [this, op, wl_addr](int *e) {
-            return ssd_->chipAt(wl_addr.channel, wl_addr.chip)
-                .opCoLocated(op, chipAddr(wl_addr), e);
-        };
-    if (verify && !x_known.empty() && !y_known.empty()) {
-        // Operand payloads are in hand: the XOR/XNOR parities are
+    req.senseCount = prog->senseCount();
+    if (!y_known.empty()) {
+        // Operand payloads are in hand: some result parities are
         // predictable, and the fallback is a free exact recompute.
-        if (op == flash::BitwiseOp::kXor)
-            req.expectedParity = x_known.oddParity() != y_known.oddParity();
-        else if (op == flash::BitwiseOp::kXnor)
-            req.expectedParity =
-                (x_known.oddParity() != y_known.oddParity()) !=
-                ((x_known.size() & 1) != 0);
+        req.expectedParity = predictParity(op, x_known, y_known);
         req.fallback = [op, x = std::move(x_known), y = std::move(y_known)](
                            Tick &) -> std::optional<BitVector> {
             return cpuBitwise(op, x, y);
         };
-    } else if (policy_.enabled) {
-        req.fallback = host_fallback;
     }
-    SenseOutcome so = runSense(req, ready, stats);
-    out.result = std::move(so.data);
-    out.status = so.status;
-    out.senseLoc = wl_addr;
-    out.done = so.done;
-    return out;
+    noteOps(mode, op, 1);
+    return runSense(req, ready, stats);
 }
 
 ExecResult
@@ -719,17 +671,15 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
             } else {
                 x_lpn = sub.first.lpn;
             }
-            PageOpOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
-                                            sub.second.lpn, mode, ready, xfer,
-                                            res.stats);
+            SenseOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
+                                           sub.second.lpn, mode, ready, xfer,
+                                           res.stats);
             bo.done = std::max(bo.done, o.done);
             res.status = std::max(res.status, o.status);
             if (functional)
-                bo.pages.push_back(o.result ? std::move(*o.result)
-                                            : BitVector());
+                bo.pages.push_back(o.data ? std::move(*o.data) : BitVector());
         }
         res.stats.end = std::max(res.stats.end, bo.done);
-        noteOps(mode, b.intraOp, b.subOps.size());
     }
 
     if (!batches.empty()) {
@@ -750,11 +700,8 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
                 }
             }
             // The whole result write-back is one scheduler batch.
-            const ssd::sched::TxGroup wb =
-                ssd_->submitOps(ops, res.stats.end);
-            ssd_->drainTransactions();
-            res.stats.end = std::max(
-                res.stats.end, ssd_->groupCompletion(wb, res.stats.end));
+            res.stats.end = std::max(res.stats.end,
+                                     ssd_->scheduleOps(ops, res.stats.end));
         }
         res.pages = std::move(last.pages);
     }
@@ -777,98 +724,12 @@ Controller::executeOp(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
 }
 
 ExecResult
-Controller::executeNot(bool msb_page, nvme::Lpn x, std::uint32_t pages,
-                       Mode mode, Tick at, bool transfer_results)
+Controller::executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode, Tick at,
+                       bool transfer_results)
 {
-    // NOT is unary: the operand's own wordline is sensed with the
-    // inverted-initialisation sequence; no co-location is ever needed.
-    // In ReAlloc mode the paper still charges the reallocation cost, so
-    // we move the page to a fresh wordline first.
-    ExecResult res;
-    res.stats.start = at;
-    res.stats.end = at;
-    ssd::Ftl &ftl = ssd_->ftl();
-    const Bytes page = ssd_->geometry().pageBytes;
-    const bool functional = ssd_->config().storeData;
-    const flash::BitwiseOp op =
-        msb_page ? flash::BitwiseOp::kNotMsb : flash::BitwiseOp::kNotLsb;
-    const flash::MicroProgram &prog = flash::coLocatedProgram(op);
-
-    const std::uint64_t retired_before = ftl.retiredBlocks();
-    for (std::uint32_t p = 0; p < pages; ++p) {
-        auto addr = ftl.lookup(x + p);
-        if (!addr)
-            fatal("ParaBit NOT: operand LPN unmapped");
-        if (!ftl.pageAccessible(x + p) && ssd_->repairPage(x + p, at))
-            addr = ftl.lookup(x + p); // repaired copy lives elsewhere
-        if (!ftl.pageAccessible(x + p)) {
-            // The operand's plane died and parity (if any) could not
-            // rebuild it: nothing left to invert.
-            res.status = std::max(res.status, ExecStatus::kDataLoss);
-            if (functional)
-                res.pages.emplace_back();
-            continue;
-        }
-        Tick ready = at;
-        BitVector data; ///< payload, when a reallocation read it
-        bool have_data = false;
-        if (mode == Mode::kReAllocate) {
-            std::vector<ssd::PhysOp> ops;
-            data = ftl.readPage(x + p, ops);
-            have_data = functional;
-            ++res.stats.pageReads;
-            const nvme::Lpn sx = scratchLpn_--;
-            const auto moved =
-                ftl.writeLsbOnly(sx, functional ? &data : nullptr, ops);
-            ++res.stats.pagePrograms;
-            res.stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
-            // If the copy could not be placed, sense the original in
-            // place — NOT never needed the move for correctness.
-            if (moved)
-                addr = *moved;
-        }
-        const Bytes xfer = transfer_results ? page : 0;
-        SenseRequest req;
-        req.loc = *addr;
-        req.senseCount = prog.senseCount();
-        req.resultXfer = xfer;
-        if (functional)
-            req.execute = [this, op, loc = *addr](int *e) {
-                return ssd_->chipAt(loc.channel, loc.chip)
-                    .opCoLocated(op, chipAddr(loc), e);
-            };
-        if (policy_.enabled && have_data) {
-            // parity(~x) = parity(x) ^ (bits & 1); the payload is in
-            // hand, so the fallback is a free exact recompute.
-            req.expectedParity =
-                data.oddParity() != ((data.size() & 1) != 0);
-            req.fallback = [data = std::move(data)](
-                               Tick &) -> std::optional<BitVector> {
-                return ~data;
-            };
-        } else if (policy_.enabled) {
-            req.fallback = [this, &ftl, &res, lpn = x + p, functional](
-                               Tick &rdy) -> std::optional<BitVector> {
-                if (!functional || !ftl.pageAccessible(lpn))
-                    return std::nullopt;
-                std::vector<ssd::PhysOp> ops;
-                BitVector v = ftl.readPage(lpn, ops);
-                ++res.stats.pageReads;
-                rdy = ssd_->scheduleOps(ops, rdy);
-                return ~v;
-            };
-        }
-        SenseOutcome so = runSense(req, ready, res.stats);
-        res.status = std::max(res.status, so.status);
-        if (functional)
-            res.pages.push_back(so.data ? std::move(*so.data) : BitVector());
-        res.stats.end = std::max(res.stats.end, so.done);
-    }
-    res.stats.retiredBlocks += ftl.retiredBlocks() - retired_before;
-    noteOps(mode, op, pages);
-    noteExec(res.stats);
-    return res;
+    // NOT x runs as the unary term "x NOT x" of the page-op pipeline.
+    return executeOp(flash::BitwiseOp::kNotLsb, x, x, pages, mode, at,
+                     transfer_results);
 }
 
 } // namespace parabit::core

@@ -20,6 +20,14 @@
  *    plane (bitlines); the extended latch circuit computes across
  *    wordlines with zero reallocation.  Operands in different planes
  *    are first staged into a common plane (counted, rare by layout).
+ *
+ * Every page of every op runs one pipeline: resolve the operands
+ * (an unmapped or unrecoverable one is data loss), stage them per
+ * mode, then sense once through the reliability ladder.  NOT is its
+ * unary case: it senses the operand's own wordline, and placement picks
+ * the page kind — the NOT-LSB program (1 SRO) for an operand on an LSB
+ * page, NOT-MSB (2 SROs) for one on an MSB page.  ReAlloc still moves
+ * the operand first (onto an LSB-only page), as the paper charges it.
  */
 
 #ifndef PARABIT_PARABIT_CONTROLLER_HPP_
@@ -192,9 +200,10 @@ class Controller
                          std::uint32_t pages, Mode mode, Tick at,
                          bool transfer_results = true);
 
-    /** Unary NOT over one operand range. */
-    ExecResult executeNot(bool msb_page, nvme::Lpn x, std::uint32_t pages,
-                          Mode mode, Tick at, bool transfer_results = true);
+    /** Unary NOT over one operand range; each page's NOT-LSB/NOT-MSB
+     *  variant follows from where it is sensed (see file comment). */
+    ExecResult executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
+                          Tick at, bool transfer_results = true);
 
     ssd::SsdDevice &ssd() { return *ssd_; }
 
@@ -215,18 +224,10 @@ class Controller
     onPowerCycle()
     {
         planeTrust_.clear();
-        scratchLpn_ = ssd_->ftl().logicalPages() - 1;
+        resetScratch();
     }
 
   private:
-    struct PageOpOutcome
-    {
-        std::optional<BitVector> result;
-        flash::PhysPageAddr senseLoc; ///< wordline that was sensed
-        Tick done;
-        ExecStatus status = ExecStatus::kOk;
-    };
-
     /** One sensing site, wrapped for the reliability ladder. */
     struct SenseRequest
     {
@@ -238,8 +239,8 @@ class Controller
         std::function<BitVector(int *)> execute;
         /** Host-side recompute; books its own timing; nullopt = the
          *  operands are unreachable.  Like expectedParity, read only
-         *  under an enabled ReliabilityPolicy, so callers leave it
-         *  unset otherwise. */
+         *  under an enabled ReliabilityPolicy on a functional device,
+         *  so it is left unset otherwise. */
         std::function<std::optional<BitVector>(Tick &)> fallback;
         /** Predicted result parity when the operand payloads are known
          *  (XOR/XNOR/NOT). */
@@ -258,24 +259,53 @@ class Controller
     SenseOutcome runSense(const SenseRequest &req, Tick ready,
                           ExecStats &stats);
 
+    /** Finish a page the flash could not vouch for at @p ready: @p req's
+     *  host fallback when the policy allows one (kDataLoss if it cannot
+     *  reach the operands), else kUncorrectable. */
+    SenseOutcome hostFallback(const SenseRequest &req, Tick ready,
+                              ExecStats &stats);
+
     /** Known-answer self-test verdict for @p loc's plane (cached). */
     bool planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
                              ExecStats &stats);
 
     /**
-     * Execute one page-pair operation.  @p prev_result, when set, is the
-     * in-buffer result of the previous chain step (its data, if
-     * functional).  @p prev_loc is where that result physically lives if
-     * it was programmed.
+     * Execute one page of @p op (the pipeline in the file comment).
+     * The first operand is the flash page @p x_lpn or, for a chain
+     * continuation, the previous step's in-buffer result @p x_buf (null
+     * in timing-only runs); NOT ignores it and inverts @p y_lpn.
+     * Counts the op actually run on the per-mode/per-op instruments.
      */
-    PageOpOutcome executePageOp(flash::BitwiseOp op,
-                                std::optional<nvme::Lpn> x_lpn,
-                                const BitVector *x_buf, nvme::Lpn y_lpn,
-                                Mode mode, Tick at, Bytes result_xfer,
-                                ExecStats &stats);
+    SenseOutcome executePageOp(flash::BitwiseOp op,
+                               std::optional<nvme::Lpn> x_lpn,
+                               const BitVector *x_buf, nvme::Lpn y_lpn,
+                               Mode mode, Tick at, Bytes result_xfer,
+                               ExecStats &stats);
+
+    /** Where @p lpn lives, rebuilding it from RAIN parity if its plane
+     *  died; nullopt when it is unmapped or unrecoverable. */
+    std::optional<flash::PhysPageAddr> resolveOperand(nvme::Lpn lpn,
+                                                      Tick at);
+
+    /** An operand's payload: the buffer @p buf if given, else a read
+     *  of @p lpn appended to @p ops, else empty (timing-only chain). */
+    BitVector loadOperand(std::optional<nvme::Lpn> lpn, const BitVector *buf,
+                          std::vector<ssd::PhysOp> &ops, ExecStats &stats);
 
     /**
-     * Operands ReAllocation: pair (x, y) onto one wordline.  @return
+     * Stage a copy of @p lpn onto a fresh LSB-only scratch page of
+     * @p plane (any plane if nullopt): one read + program batch booked
+     * from @p ready, which advances.  @p keep, when non-null, receives
+     * the payload read.  @return the copy, or nullopt if it could not
+     * be placed.
+     */
+    std::optional<flash::PhysPageAddr>
+    stageLsbCopy(nvme::Lpn lpn, std::optional<ssd::PlaneIndex> plane,
+                 Tick &ready, ExecStats &stats, BitVector *keep);
+
+    /**
+     * Operands ReAllocation: pair (x, y) onto one wordline, reading X
+     * as loadOperand() does, from @p ready (which advances).  @return
      * nullopt when the pair could not be placed (program retries
      * exhausted).  @p x_out / @p y_out, when non-null, receive the
      * operand payloads read along the way (for parity prediction and a
@@ -283,9 +313,14 @@ class Controller
      */
     std::optional<flash::PhysPageAddr>
     reallocatePair(std::optional<nvme::Lpn> x_lpn, const BitVector *x_buf,
-                   nvme::Lpn y_lpn, bool read_x, Tick at, ExecStats &stats,
-                   Tick &ready, BitVector *x_out = nullptr,
-                   BitVector *y_out = nullptr);
+                   nvme::Lpn y_lpn, Tick &ready, ExecStats &stats,
+                   BitVector *x_out, BitVector *y_out);
+
+    /** A fresh internal LPN for a reallocated copy.  The cursor counts
+     *  down from the top of the logical range; resetScratch() rewinds
+     *  it (construction and power cycles). */
+    nvme::Lpn takeScratchLpn() { return scratchLpn_--; }
+    void resetScratch() { scratchLpn_ = ssd_->ftl().logicalPages() - 1; }
 
     /** Count @p n executed page ops of (@p mode, @p op) on the
      *  registered per-mode/per-op instruments. */
@@ -296,7 +331,7 @@ class Controller
     void noteExec(const ExecStats &stats);
 
     ssd::SsdDevice *ssd_;
-    nvme::Lpn scratchLpn_; ///< internal LPNs for reallocated copies
+    nvme::Lpn scratchLpn_ = 0; ///< see takeScratchLpn()
     ReliabilityPolicy policy_;
     /** Per-plane self-test verdicts (flat plane index -> trusted). */
     std::unordered_map<ssd::PlaneIndex, bool> planeTrust_;

@@ -10,14 +10,6 @@ ParaBitDevice::ParaBitDevice(const ssd::SsdConfig &cfg)
 {
 }
 
-Tick
-ParaBitDevice::scheduleBatch(const std::vector<ssd::PhysOp> &ops)
-{
-    const ssd::sched::TxGroup g = ssd_->submitOps(ops, now_);
-    ssd_->drainTransactions();
-    return ssd_->groupCompletion(g, now_);
-}
-
 void
 ParaBitDevice::writeData(nvme::Lpn start, const std::vector<BitVector> &pages)
 {
@@ -35,7 +27,7 @@ ParaBitDevice::writeDataLsbOnly(nvme::Lpn start,
     std::vector<ssd::PhysOp> ops;
     for (std::size_t i = 0; i < pages.size(); ++i)
         ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 void
@@ -49,7 +41,7 @@ ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
     for (std::size_t i = 0; i < x_pages.size(); ++i)
         ssd_->ftl().writePair(x_start + i, y_start + i, &x_pages[i],
                               &y_pages[i], ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 void
@@ -60,7 +52,7 @@ ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
     std::vector<ssd::PhysOp> ops;
     for (std::size_t i = 0; i < pages.size(); ++i)
         ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops, plane);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 void
@@ -69,7 +61,7 @@ ParaBitDevice::writeMeta(nvme::Lpn start, std::uint32_t pages)
     std::vector<ssd::PhysOp> ops;
     for (std::uint32_t i = 0; i < pages; ++i)
         ssd_->ftl().writePage(start + i, nullptr, ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 void
@@ -78,7 +70,7 @@ ParaBitDevice::writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages)
     std::vector<ssd::PhysOp> ops;
     for (std::uint32_t i = 0; i < pages; ++i)
         ssd_->ftl().writeLsbOnly(start + i, nullptr, ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 void
@@ -88,7 +80,7 @@ ParaBitDevice::writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
     std::vector<ssd::PhysOp> ops;
     for (std::uint32_t i = 0; i < pages; ++i)
         ssd_->ftl().writePair(x_start + i, y_start + i, nullptr, nullptr, ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
 }
 
 std::vector<BitVector>
@@ -111,10 +103,10 @@ ParaBitDevice::bitwise(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
 
 ExecResult
 ParaBitDevice::bitwiseNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
-                          bool msb_page, bool transfer_results)
+                          bool transfer_results)
 {
-    ExecResult r = controller_.executeNot(msb_page, x, pages, mode, now_,
-                                          transfer_results);
+    ExecResult r =
+        controller_.executeNot(x, pages, mode, now_, transfer_results);
     now_ = r.stats.end;
     return r;
 }
@@ -142,7 +134,7 @@ ParaBitDevice::flush()
         return true;
     std::vector<ssd::PhysOp> ops;
     const bool ok = ssd_->ftl().checkpoint(ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
     return ok;
 }
 

@@ -85,9 +85,9 @@ class ParaBitDevice
                        std::uint32_t pages, Mode mode,
                        bool transfer_results = true);
 
-    /** Bulk unary NOT over one operand range. */
+    /** Bulk unary NOT over one operand range; each page's NOT-LSB or
+     *  NOT-MSB program follows from where the page is sensed. */
     ExecResult bitwiseNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
-                          bool msb_page = false,
                           bool transfer_results = true);
 
     /**
@@ -136,10 +136,6 @@ class ParaBitDevice
     Controller &controller() { return controller_; }
 
   private:
-    /** Emit @p ops as one scheduler batch at now() and arbitrate it.
-     *  @return the batch completion (now() when @p ops is empty). */
-    Tick scheduleBatch(const std::vector<ssd::PhysOp> &ops);
-
     std::unique_ptr<ssd::SsdDevice> ssd_;
     Controller controller_;
     Tick now_ = 0;

@@ -14,11 +14,13 @@
  * parallelism — deterministically; other policies reorder within the
  * bounds described in ssd/sched/policy.hpp.
  *
- * Two calling styles: the legacy scheduleOps/scheduleArrayJobs book and
- * drain in one call (one batch per call), while submitOps/
- * submitArrayJobs + drainTransactions let callers accumulate a batch
- * (e.g. every op of one host-command pump round) so non-FCFS policies
- * have something to arbitrate between.
+ * Two calling styles: scheduleOps/scheduleArrayJobs book one
+ * synchronous batch (submit, drain and completion in one call), which
+ * is what every caller that has its whole batch in hand uses.
+ * submitOps/submitArrayJobs + drainTransactions + groupCompletion are
+ * for callers that accumulate a batch across commands (every op of one
+ * HostInterface pump round), so non-FCFS policies have something to
+ * arbitrate between.
  */
 
 #ifndef PARABIT_SSD_SSD_HPP_

@@ -103,22 +103,114 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Controller, NotOpAllModes)
 {
+    // X lands on the LSB and Y on the MSB page of shared wordlines.  The
+    // controller picks NOT-LSB or NOT-MSB from where each page is
+    // sensed, so both invert exactly in every mode.
     for (Mode mode :
          {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
         ParaBitDevice dev(ssd::SsdConfig::tiny());
         Rng rng(55);
         const auto xs = randomPages(dev.ssd().config(), 2, rng);
-        dev.writeDataLsbOnly(0, xs);
-        const ExecResult r = dev.bitwiseNot(0, 2, mode, /*msb_page=*/false);
-        ASSERT_EQ(r.pages.size(), 2u);
-        for (int p = 0; p < 2; ++p)
-            EXPECT_EQ(r.pages[static_cast<std::size_t>(p)], ~xs[static_cast<std::size_t>(p)])
-                << modeName(mode);
-        if (mode == Mode::kReAllocate) {
-            EXPECT_GT(r.stats.reallocBytes, 0u)
-                << "the paper charges NOT a reallocation in ReAlloc mode";
-        } else {
-            EXPECT_EQ(r.stats.reallocBytes, 0u);
+        const auto ys = randomPages(dev.ssd().config(), 2, rng);
+        dev.writeOperandPair(0, 100, xs, ys);
+        for (const auto &[lpn, operand] :
+             {std::pair<nvme::Lpn, const std::vector<BitVector> *>{0, &xs},
+              {100, &ys}}) {
+            const ExecResult r = dev.bitwiseNot(lpn, 2, mode);
+            EXPECT_EQ(r.status, ExecStatus::kOk) << modeName(mode);
+            ASSERT_EQ(r.pages.size(), 2u);
+            for (std::size_t p = 0; p < 2; ++p)
+                EXPECT_EQ(r.pages[p], ~(*operand)[p])
+                    << modeName(mode) << " LPN " << lpn << " page " << p;
+            if (mode == Mode::kReAllocate) {
+                EXPECT_GT(r.stats.reallocBytes, 0u)
+                    << "the paper charges NOT a reallocation in ReAlloc mode";
+            } else {
+                EXPECT_EQ(r.stats.reallocBytes, 0u);
+            }
+        }
+    }
+}
+
+TEST(Controller, NotSenseCountFollowsPlacement)
+{
+    // Timing-only: NOT-LSB is one SRO and NOT-MSB two.  ReAlloc senses
+    // its LSB-only copy, so an MSB-resident operand costs one there.
+    for (Mode mode :
+         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+        ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+        cfg.storeData = false;
+        ParaBitDevice dev(cfg);
+        dev.writeMetaOperandPair(0, 100, 4);
+        EXPECT_EQ(dev.bitwiseNot(0, 4, mode).stats.senseOps, 4u)
+            << modeName(mode);
+        EXPECT_EQ(dev.bitwiseNot(100, 4, mode).stats.senseOps,
+                  mode == Mode::kReAllocate ? 4u : 8u)
+            << modeName(mode);
+    }
+}
+
+TEST(Controller, LocationFreeStagesWhenBothOperandsAreMsbPages)
+{
+    // No location-free variant senses two MSB pages, so one operand is
+    // copied onto an LSB page of the same plane first.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    Rng rng(78);
+    const auto pg = randomPages(dev.ssd().config(), 4, rng);
+    std::vector<ssd::PhysOp> ops;
+    ASSERT_TRUE(dev.ssd().ftl().writePair(0, 100, &pg[0], &pg[1], ops, 0));
+    ASSERT_TRUE(dev.ssd().ftl().writePair(200, 300, &pg[2], &pg[3], ops, 0));
+    dev.ssd().scheduleOps(ops, dev.now());
+
+    const ExecResult r = dev.bitwise(flash::BitwiseOp::kXor, 100, 300, 1,
+                                     Mode::kLocationFree);
+    EXPECT_EQ(r.status, ExecStatus::kOk);
+    ASSERT_EQ(r.pages.size(), 1u);
+    EXPECT_EQ(r.pages[0], pg[1] ^ pg[3]);
+    EXPECT_EQ(r.stats.pagePrograms, 1u);
+}
+
+TEST(Controller, LocationFreeChainOntoMsbOperandIsExact)
+{
+    // The buffered running result plays an LSB page; a next operand on
+    // an MSB page is copied onto an LSB page before it is sensed.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    Rng rng(80);
+    const auto xs = randomPages(dev.ssd().config(), 2, rng);
+    const auto ys = randomPages(dev.ssd().config(), 2, rng);
+    const auto zs = randomPages(dev.ssd().config(), 2, rng);
+    const auto ws = randomPages(dev.ssd().config(), 2, rng);
+    dev.writeOperandPair(0, 100, xs, ys);
+    dev.writeOperandPair(200, 300, zs, ws);
+    const ExecResult r = dev.bitwiseChain(flash::BitwiseOp::kAnd,
+                                          {0, 200, 300}, 2,
+                                          Mode::kLocationFree);
+    EXPECT_EQ(r.status, ExecStatus::kOk);
+    ASSERT_EQ(r.pages.size(), 2u);
+    for (std::size_t p = 0; p < 2; ++p)
+        EXPECT_EQ(r.pages[p], xs[p] & zs[p] & ws[p]) << "page " << p;
+}
+
+TEST(Controller, OpOfAnOperandWithItselfIsExact)
+{
+    // "x op x" names one page twice; its wordline's other page must not
+    // stand in for the second operand.
+    for (Mode mode :
+         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+        ParaBitDevice dev(ssd::SsdConfig::tiny());
+        Rng rng(79);
+        const auto xs = randomPages(dev.ssd().config(), 2, rng);
+        const auto ys = randomPages(dev.ssd().config(), 2, rng);
+        dev.writeOperandPair(0, 100, xs, ys);
+        for (const nvme::Lpn lpn : {nvme::Lpn{0}, nvme::Lpn{100}}) {
+            const auto &src = lpn == 0 ? xs : ys;
+            const ExecResult r =
+                dev.bitwise(flash::BitwiseOp::kAnd, lpn, lpn, 2, mode);
+            EXPECT_EQ(r.status, ExecStatus::kOk);
+            ASSERT_EQ(r.pages.size(), 2u);
+            for (std::size_t p = 0; p < 2; ++p)
+                EXPECT_EQ(r.pages[p], src[p])
+                    << modeName(mode) << " LPN " << lpn << " page " << p;
         }
     }
 }

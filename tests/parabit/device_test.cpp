@@ -110,14 +110,26 @@ TEST(ParaBitDevice, MismatchedPairSizesDie)
     EXPECT_DEATH(dev.writeOperandPair(0, 100, x, y), "sizes differ");
 }
 
-TEST(ParaBitDevice, UnmappedOperandDies)
+TEST(ParaBitDevice, UnmappedOperandIsDataLoss)
 {
+    // A never-written operand has no data to compute on: the page is
+    // withheld under a typed error, as a read of that LPN would be.
     ParaBitDevice dev(ssd::SsdConfig::tiny());
     const auto x = pages(dev.ssd().config(), 1, 8);
     dev.writeData(0, x);
-    EXPECT_DEATH(dev.bitwise(flash::BitwiseOp::kAnd, 0, 999, 1,
-                             Mode::kReAllocate),
-                 "unmapped");
+    for (const auto &[a, b] : {std::pair<nvme::Lpn, nvme::Lpn>{0, 999},
+                               {999, 0}}) {
+        const ExecResult r =
+            dev.bitwise(flash::BitwiseOp::kAnd, a, b, 1, Mode::kReAllocate);
+        EXPECT_EQ(r.status, ExecStatus::kDataLoss);
+        ASSERT_EQ(r.pages.size(), 1u);
+        EXPECT_TRUE(r.pages[0].empty());
+    }
+    const ExecResult n = dev.bitwiseNot(999, 1, Mode::kPreAllocated);
+    EXPECT_EQ(n.status, ExecStatus::kDataLoss);
+    const ExecResult ok = dev.bitwiseNot(0, 1, Mode::kPreAllocated);
+    EXPECT_EQ(ok.status, ExecStatus::kOk);
+    EXPECT_EQ(ok.pages.at(0), ~x[0]);
 }
 
 TEST(ParaBitDevice, ExecuteRunsParsedBatches)

@@ -261,6 +261,60 @@ TEST(HostInterface, ErrorCompletionsKeepOrderAndCarryStatus)
     EXPECT_TRUE(c4->ok()) << "a clean command after an error still works";
 }
 
+TEST(HostInterface, FormulaOverUnmappedLpnCompletesLikeARead)
+{
+    // A formula naming a never-written LPN completes with the media
+    // error a read of that LPN gets, and the device keeps serving.
+    for (Mode mode :
+         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+        ParaBitDevice dev(ssd::SsdConfig::tiny());
+        const auto x = pages(dev.ssd().config(), 2, 31);
+        dev.writeData(0, x);
+
+        HostInterface host(dev, 1, 32, mode);
+        ASSERT_TRUE(host.submitRead(0, 50)); // never written
+        nvme::Formula f;
+        f.terms.push_back(nvme::Formula::Term{
+            nvme::OperandRef::logical(0, 1), nvme::OperandRef::logical(50, 1),
+            flash::BitwiseOp::kAnd});
+        ASSERT_TRUE(host.submitFormula(0, f));
+        nvme::Formula g; // unmapped first operand
+        g.terms.push_back(nvme::Formula::Term{
+            nvme::OperandRef::logical(50, 1), nvme::OperandRef::logical(0, 1),
+            flash::BitwiseOp::kOr});
+        ASSERT_TRUE(host.submitFormula(0, g));
+        ASSERT_TRUE(host.submitRead(0, 0));
+        host.pump();
+
+        const auto read = host.reap(0);
+        ASSERT_TRUE(read);
+        EXPECT_EQ(read->status, nvme::kUnrecoveredReadError);
+        for (int k = 0; k < 2; ++k) {
+            const auto c = host.reap(0);
+            ASSERT_TRUE(c);
+            EXPECT_EQ(c->status, nvme::kUnrecoveredReadError)
+                << modeName(mode) << " formula " << k;
+            EXPECT_TRUE(c->pages.empty());
+        }
+        const auto after = host.reap(0);
+        ASSERT_TRUE(after);
+        EXPECT_TRUE(after->ok()) << modeName(mode);
+
+        // And a formula over written data still computes.
+        nvme::Formula h;
+        h.terms.push_back(nvme::Formula::Term{
+            nvme::OperandRef::logical(0, 1), nvme::OperandRef::logical(1, 1),
+            flash::BitwiseOp::kXor});
+        ASSERT_TRUE(host.submitFormula(0, h));
+        host.pump();
+        const auto ok = host.reap(0);
+        ASSERT_TRUE(ok);
+        EXPECT_TRUE(ok->ok()) << modeName(mode);
+        ASSERT_EQ(ok->pages.size(), 1u);
+        EXPECT_EQ(ok->pages[0], x[0] ^ x[1]);
+    }
+}
+
 TEST(HostInterface, TimeoutAbortsThenRequeuedAttemptCompletes)
 {
     ParaBitDevice dev(ssd::SsdConfig::tiny());
