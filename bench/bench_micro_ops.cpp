@@ -11,6 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "flash/chip.hpp"
 #include "flash/latch_array.hpp"
@@ -121,20 +125,51 @@ BM_FtlWritePath(benchmark::State &state)
 }
 BENCHMARK(BM_FtlWritePath);
 
+/**
+ * One ReAllocate AND through the whole device stack per iteration.
+ * Every ReAllocate op consumes a scratch LPN that is never released, so
+ * a long-lived device ends up timing the out-of-space failure path; the
+ * device and its operands are rebuilt off the clock every
+ * kOpsPerDevice ops, well inside the scratch budget of the tiny preset.
+ * A log warning or a failed op fails the run.
+ */
 void
 BM_ParaBitOpEndToEnd(benchmark::State &state)
 {
-    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
-    core::ParaBitDevice dev(cfg);
+    constexpr int kOpsPerDevice = 128;
+    std::uint64_t warnings = 0;
+    LogSink previous =
+        setLogSink([&warnings](LogLevel level, const std::string &) {
+            if (level >= LogLevel::kWarn)
+                ++warnings;
+        });
+    const ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
     const std::size_t bits = cfg.geometry.pageBits();
-    std::vector<BitVector> x{randomBits(bits, 5)}, y{randomBits(bits, 6)};
-    dev.writeData(0, x);
-    dev.writeData(100, y);
+    const std::vector<BitVector> x{randomBits(bits, 5)};
+    const std::vector<BitVector> y{randomBits(bits, 6)};
+    std::optional<core::ParaBitDevice> dev;
+    int ops = kOpsPerDevice;
+    std::uint64_t failed = 0;
     for (auto _ : state) {
-        auto r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
-                             core::Mode::kReAllocate);
+        if (ops == kOpsPerDevice) {
+            state.PauseTiming();
+            dev.emplace(cfg);
+            dev->writeData(0, x);
+            dev->writeData(100, y);
+            ops = 0;
+            state.ResumeTiming();
+        }
+        auto r = dev->bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
+                              core::Mode::kReAllocate);
         benchmark::DoNotOptimize(r.stats.senseOps);
+        failed += r.status != core::ExecStatus::kOk;
+        ++ops;
     }
+    setLogSink(std::move(previous));
+    if (warnings > 0 || failed > 0)
+        state.SkipWithError(("log warnings: " + std::to_string(warnings) +
+                             ", failed ops: " + std::to_string(failed))
+                                .c_str());
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ParaBitOpEndToEnd);

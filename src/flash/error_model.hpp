@@ -28,27 +28,31 @@
 
 namespace parabit::flash {
 
+/** Sensings of the Fig 17 anchor operation (location-free XOR). */
+inline constexpr int kRefSensings = 7;
+
+/**
+ * Fraction of injected SO flips that survive to the XOR output on
+ * random operand data (measured with this repository's circuit model).
+ */
+inline constexpr double kPropagationSurvival = 0.404;
+
 /**
  * Tunable parameters of the sensing-error model.
  *
  * The calibration anchor is stated in *observed output* errors: not
  * every mis-sensed SO bit survives to the result, because the latch
  * algebra masks flips (an AND-accumulated node already at 0 ignores a
- * spurious pull-down).  On random operand data, a fraction
- * propagationSurvival of injected SO flips reaches the XOR output
- * (measured with this repository's circuit model); the raw per-sensing
- * RBER is derived so the observed mean matches the paper's figure.
+ * spurious pull-down).  Only kPropagationSurvival of the injected flips
+ * reach the output, so the raw per-sensing RBER is derived so the
+ * observed mean matches the paper's figure.
  */
 struct ErrorModelConfig
 {
     /** Observed output bit errors per wordline at the anchor point. */
     double observedErrorsAtRef = 0.945;
-    /** Sensings of the anchor operation (location-free XOR). */
-    int refSensings = 7;
     /** Bits per wordline page in the anchor experiment (8 KB). */
     double wordlineBits = 65536.0;
-    /** Fraction of injected SO flips that survive to the output. */
-    double propagationSurvival = 0.404;
     /** Reference P/E count of the calibration anchor. */
     double refPeCycles = 5000.0;
     /** Decades of RBER growth between 0 and refPeCycles. */
@@ -77,7 +81,7 @@ struct ErrorModelConfig
     rberAtRef() const
     {
         return observedErrorsAtRef /
-               (propagationSurvival * refSensings * wordlineBits);
+               (kPropagationSurvival * kRefSensings * wordlineBits);
     }
 
     /** No errors at all (ideal circuit). */

@@ -265,9 +265,8 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         return v.oddParity() == *req.expectedParity;
     };
 
-    const int max_votes =
-        policy_.maxVotes % 2 == 0 ? policy_.maxVotes - 1 : policy_.maxVotes;
-    int rung = std::clamp(policy_.initialVotes, 1, std::max(1, max_votes));
+    constexpr int max_votes = ReliabilityPolicy::kMaxVotes;
+    int rung = std::clamp(policy_.initialVotes, 1, max_votes);
     if (rung % 2 == 0)
         ++rung;
     std::vector<BitVector> runs;
@@ -295,8 +294,9 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
             }
         } else {
             candidate = flash::majorityVote(runs);
-            pass = flash::lowMarginCount(runs, policy_.minMargin) == 0 &&
-                   parity_ok(candidate);
+            const std::size_t weak =
+                flash::lowMarginCount(runs, ReliabilityPolicy::kMinMargin);
+            pass = weak == 0 && parity_ok(candidate);
         }
         if (pass) {
             accepted = std::move(candidate);
@@ -309,11 +309,11 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
             ++stats.voteEscalations;
             continue;
         }
-        if (retries < policy_.maxRetries) {
+        if (retries < ReliabilityPolicy::kMaxRetries) {
             ++retries;
             ++stats.retries;
             runs.clear();
-            ready += policy_.retryBackoff * static_cast<Tick>(retries);
+            ready += flash::kRetryBackoff * static_cast<Tick>(retries);
             continue;
         }
         break;
@@ -333,7 +333,7 @@ Controller::hostFallback(const SenseRequest &req, Tick ready,
 {
     SenseOutcome out;
     out.status = ExecStatus::kUncorrectable;
-    if (policy_.hostFallback && req.fallback) {
+    if (req.fallback) {
         if (auto fb = req.fallback(ready)) {
             ++stats.hostFallbacks;
             out.data = std::move(*fb);

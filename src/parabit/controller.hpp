@@ -87,10 +87,10 @@ const char *execStatusName(ExecStatus s);
  *     operand payloads are in hand (XOR/XNOR make parities checkable),
  *     plus a duplicate execution compared bit-for-bit;
  *  2. 3-vote majority (flash::majorityVote), accepted only when every
- *     bitline's vote margin reaches minMargin;
- *  3. 5-vote majority, same acceptance;
- *  4. up to maxRetries repeats of the top rung, each delayed by
- *     retryBackoff;
+ *     bitline's vote margin reaches kMinMargin;
+ *  3. 5-vote majority (kMaxVotes), same acceptance;
+ *  4. up to kMaxRetries repeats of the top rung, the k-th delayed by
+ *     k * flash::kRetryBackoff;
  *  5. host-side fallback: conventional ECC-protected page reads plus
  *     CPU bitwise compute — always bit-exact, never fast.
  *
@@ -101,17 +101,19 @@ const char *execStatusName(ExecStatus s);
  */
 struct ReliabilityPolicy
 {
+    /** Top rung of the vote ladder. */
+    static constexpr int kMaxVotes = 5;
+    static_assert(kMaxVotes % 2 == 1, "a majority needs an odd ballot");
+    /** Minimum per-bitline vote margin (|ones - zeros|) for a voted
+     *  rung to be accepted. */
+    static constexpr int kMinMargin = 3;
+    /** Repeats of the top rung before the host fallback. */
+    static constexpr int kMaxRetries = 2;
+
     bool enabled = false; ///< off = the legacy single-execution path
     /** Rung the ladder starts at (1, 3 or 5; benches pin 3/5 to
      *  measure a fixed-redundancy configuration). */
     int initialVotes = 1;
-    int maxVotes = 5;
-    /** Minimum per-bitline vote margin (|ones - zeros|) for a voted
-     *  rung to be accepted. */
-    int minMargin = 3;
-    int maxRetries = 2;
-    Tick retryBackoff = flash::kDefaultRetryBackoff;
-    bool hostFallback = true;
 };
 
 /** Instrumentation of one executed formula/op. */

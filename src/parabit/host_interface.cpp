@@ -243,9 +243,9 @@ HostInterface::shedIfOverloaded(std::uint16_t qid, std::size_t cmds,
 {
     nvme::QueuePair &qp = qps_.at(qid);
     if (ssd::DeviceHealth *health = dev_->ssd().health()) {
-        const ssd::HealthConfig &hc = dev_->ssd().config().health;
         if (static_cast<double>(qp.sqOccupancy() + cmds) >=
-            hc.queuePressureFraction * static_cast<double>(qp.depth()))
+            ssd::DeviceHealth::kQueuePressureFraction *
+                static_cast<double>(qp.depth()))
             health->noteQueuePressure();
     }
     if (admissionLimit_ == 0 || qp.sqOccupancy() + cmds <= admissionLimit_)
@@ -371,7 +371,10 @@ HostInterface::pump()
         Tick submittedNow; ///< device clock at submission (fallback)
         /** Attribution token bracketing this command's scheduler
          *  submissions (set only while metrics/tracing are on). */
-        std::optional<std::uint64_t> token;
+        std::optional<std::uint64_t> token = std::nullopt;
+        /** A read of a mapped page on a dead plane: a media error that
+         *  charges health (an unwritten LPN is the host's business). */
+        bool mediaError = false;
     };
     std::vector<DeferredPlain> deferred;
 
@@ -437,7 +440,7 @@ HostInterface::pump()
             noteCmdSpan(d.qid, cmdName(d.f.cmd.opcode()), d.f.submittedAt,
                         done, d.status);
             noteSlo(cls, done - d.f.submittedAt, done);
-            if (health && d.status == nvme::kUnrecoveredReadError)
+            if (health && d.mediaError)
                 health->noteUncorrectable();
             ++retired;
         }
@@ -601,6 +604,7 @@ HostInterface::pump()
                     d.status = nvme::kInternalError;
                 } else if (!dev_->ssd().ftl().pageAccessible(lpn)) {
                     d.status = nvme::kUnrecoveredReadError;
+                    d.mediaError = dev_->ssd().ftl().lookup(lpn).has_value();
                 } else {
                     std::vector<ssd::PhysOp> ops;
                     dev_->ssd().ftl().readPage(lpn, ops);

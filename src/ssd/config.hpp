@@ -43,12 +43,6 @@ struct RecoveryConfig
      * shutdown notification, journal-region rotation).
      */
     std::uint32_t checkpointIntervalPrograms = 0;
-
-    /**
-     * Blocks reserved per plane for the checkpoint/journal region
-     * (even, >= 2: the region is two ping-pong halves).
-     */
-    std::uint32_t reservedBlocksPerPlane = 2;
 };
 
 /**
@@ -99,7 +93,8 @@ struct MediaConfig
  * unreadable per stripe and RainController::rebuildPage() recovers it
  * as parity XOR surviving members.  Parity lives in the controller's
  * battery-backed stripe buffer (recomputed from flash on power cycle)
- * and its destage traffic is booked on the timing model.  Requires a
+ * and one destage program per data program is booked on the timing
+ * model (deferred while the device is degraded).  Requires a
  * running patrol scrubber (scrubInterval > 0) so dead-die pages are
  * found and rebuilt in the background — validateMediaConfig() rejects
  * parity with scrubbing off.
@@ -107,11 +102,6 @@ struct MediaConfig
 struct RainConfig
 {
     bool enabled = false;
-
-    /** Book one parity-destage program on the timing model for every
-     *  data program of a stripe member (off = parity kept consistent
-     *  functionally but destage bandwidth not charged). */
-    bool chargeParityPrograms = true;
 };
 
 /**
@@ -124,14 +114,14 @@ struct RainConfig
  * healthy -> degraded -> read-only -> failed state machine over it.
  * Escalation happens the moment pressure crosses the next state's
  * threshold; de-escalation additionally requires a minimum dwell in the
- * state and pressure below threshold * (1 - hysteresis), so the machine
- * cannot oscillate at a boundary.  kFailed is terminal.  Per-state
- * policy: degraded throttles background scrub batches and RAIN parity
- * destage and sheds ParaBit formula admission; read-only additionally
- * rejects host writes with nvme::kWriteProtected; failed rejects
- * everything with nvme::kInternalError.  Disabled (the default) the
- * subsystem does not exist and the device is byte-identical to a build
- * without it.
+ * state and pressure below threshold * (1 - DeviceHealth::kHysteresis),
+ * so the machine cannot oscillate at a boundary.  kFailed is terminal.
+ * Per-state policy: degraded throttles background scrub batches and
+ * RAIN parity destage and sheds ParaBit formula admission; read-only
+ * additionally rejects host writes with nvme::kWriteProtected; failed
+ * rejects everything with nvme::kInternalError.  Disabled (the
+ * default) the subsystem does not exist and the device is
+ * byte-identical to a build without it.
  */
 struct HealthConfig
 {
@@ -146,35 +136,15 @@ struct HealthConfig
     /** Pressure at which read-only escalates to failed (terminal). */
     double failedThreshold = 96.0;
 
-    /**
-     * De-escalation margin in (0, 1): a state steps back toward healthy
-     * only once pressure has fallen below its own entry threshold times
-     * (1 - hysteresis).
-     */
-    double hysteresis = 0.25;
-
     /** Exponential half-life of the pressure budget. */
     Tick pressureHalfLife = flash::kDefaultHealthHalfLife;
 
     /** Minimum simulated time in a state before de-escalation. */
     Tick minDwell = flash::kDefaultHealthMinDwell;
 
-    /** @name Signal weights (pressure charged per event). */
-    /// @{
-    double weightUncorrectable = 4.0; ///< per uncorrectable page
-    double weightRebuild = 1.0;       ///< per RAIN page rebuild
-    double weightRetiredBlock = 2.0;  ///< per bad-block retirement
-    double weightRefresh = 0.25;      ///< per scrub refresh relocation
-    double weightQueuePressure = 0.5; ///< per near-full SQ submission
-    /// @}
-
-    /** SQ occupancy fraction above which a submission charges
-     *  weightQueuePressure (sustained-queue-depth signal). */
-    double queuePressureFraction = 0.75;
-
-    /** Degraded-state throttle: background scrub batches shrink to
-     *  scrubWordlinesPerPass / this (min 1); must be >= 1. */
-    std::uint32_t degradedScrubDivisor = 4;
+    /** Pressure charged per bad-block retirement (the other signal
+     *  weights are DeviceHealth constants). */
+    double weightRetiredBlock = 2.0;
 };
 
 /**
@@ -221,15 +191,6 @@ struct SsdConfig
     /** Whether flash pages carry payloads (functional mode) or only
      *  state (timing mode for device-scale experiments). */
     bool storeData = true;
-
-    /** Fraction of blocks held back as over-provisioning. */
-    double overProvisioning = 0.07;
-
-    /**
-     * GC trigger: a plane starts garbage collection when its free-block
-     * count drops below this fraction of blocksPerPlane.
-     */
-    double gcFreeBlockThreshold = 0.05;
 
     /**
      * Static wear leveling: when the erase-count spread within a plane
@@ -329,19 +290,12 @@ validateHealthConfig(const SsdConfig &cfg)
         return "health thresholds must be strictly ordered: 0 < "
                "degradedThreshold < readOnlyThreshold < failedThreshold "
                "(each state escalates at its own pressure level)";
-    if (!(h.hysteresis > 0.0 && h.hysteresis < 1.0))
-        return "health.hysteresis must be in (0, 1): without a nonzero "
-               "de-escalation margin the state machine oscillates at a "
-               "threshold boundary";
     if (h.pressureHalfLife == 0)
         return "health.pressureHalfLife must be nonzero: an instant-decay "
                "budget can never accumulate sustained distress";
     if (h.minDwell == 0)
         return "health.minDwell must be nonzero: zero dwell defeats the "
                "hysteresis guard on de-escalation";
-    if (h.degradedScrubDivisor == 0)
-        return "health.degradedScrubDivisor must be >= 1 (it divides the "
-               "scrub batch size)";
     return nullptr;
 }
 

@@ -13,6 +13,13 @@ namespace parabit::ssd {
 
 namespace {
 
+/** Fraction of blocks held back as over-provisioning. */
+constexpr double kOverProvisioning = 0.07;
+
+/** GC trigger: a plane starts garbage collection when its free-block
+ *  count drops below this fraction of blocksPerPlane. */
+constexpr double kGcFreeBlockThreshold = 0.05;
+
 } // namespace
 
 Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
@@ -21,23 +28,22 @@ Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
 {
     double usable_blocks = cfg_.geometry.blocksPerPlane;
     if (cfg_.recovery.enabled) {
-        const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
-        if (r < 2 || r % 2 != 0 || r + 2 >= cfg_.geometry.blocksPerPlane)
-            fatal("Ftl: recovery.reservedBlocksPerPlane must be even, >= 2 "
-                  "and leave room for data blocks");
-        // The top r blocks of every plane become the SLC checkpoint +
+        if (kReservedBlocksPerPlane + 2 >= cfg_.geometry.blocksPerPlane)
+            fatal("Ftl: recovery needs more than kReservedBlocksPerPlane + "
+                  "2 blocks per plane to leave room for data blocks");
+        // The top blocks of every plane become the SLC checkpoint +
         // journal region, split into two ping-pong halves.
         for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p)
-            for (std::uint32_t i = 0; i < r; ++i)
+            for (std::uint32_t i = 0; i < kReservedBlocksPerPlane; ++i)
                 alloc_.reserveBlock(p, cfg_.geometry.blocksPerPlane - 1 - i);
-        usable_blocks -= r;
+        usable_blocks -= kReservedBlocksPerPlane;
     }
-    const double usable = (1.0 - cfg_.overProvisioning) * usable_blocks /
+    const double usable = (1.0 - kOverProvisioning) * usable_blocks /
                           cfg_.geometry.blocksPerPlane;
     logicalPages_ = static_cast<std::uint64_t>(
         std::floor(static_cast<double>(cfg_.geometry.totalPages()) * usable));
     gcThresholdBlocks_ = std::max<std::uint32_t>(
-        2, static_cast<std::uint32_t>(cfg_.gcFreeBlockThreshold *
+        2, static_cast<std::uint32_t>(kGcFreeBlockThreshold *
                                       cfg_.geometry.blocksPerPlane));
 }
 

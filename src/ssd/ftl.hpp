@@ -73,6 +73,14 @@ class Ftl
      *  repeated failures walk across fresh blocks, not the same one). */
     static constexpr int kMaxProgramRetries = 4;
 
+    /** Blocks reserved at the top of every plane for the SPOR
+     *  checkpoint/journal region when recovery is enabled: two
+     *  ping-pong halves of one block each. */
+    static constexpr std::uint32_t kReservedBlocksPerPlane = 2;
+    static_assert(kReservedBlocksPerPlane >= 2 &&
+                      kReservedBlocksPerPlane % 2 == 0,
+                  "the log region is two equal ping-pong halves");
+
     /**
      * @param cfg device configuration
      * @param chips chip array, indexed channel * chipsPerChannel + chip

@@ -99,14 +99,14 @@ Ftl::halfPages() const
     // The log region is written SLC-mode (LSB pages only) so that a
     // torn log program can never corrupt an earlier, committed record
     // through the shared-wordline coupling.
-    return alloc_.planeCount() * (cfg_.recovery.reservedBlocksPerPlane / 2) *
+    return alloc_.planeCount() * (kReservedBlocksPerPlane / 2) *
            cfg_.geometry.wordlinesPerBlock;
 }
 
 flash::PhysPageAddr
 Ftl::logAddr(int half, std::uint32_t idx) const
 {
-    const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
+    const std::uint32_t r = kReservedBlocksPerPlane;
     const std::uint32_t blocks_per_half = r / 2;
     const std::uint32_t pages_per_plane =
         blocks_per_half * cfg_.geometry.wordlinesPerBlock;
@@ -129,7 +129,7 @@ Ftl::logAddr(int half, std::uint32_t idx) const
 bool
 Ftl::eraseHalf(int half, std::vector<PhysOp> &ops)
 {
-    const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
+    const std::uint32_t r = kReservedBlocksPerPlane;
     const std::uint32_t blocks_per_half = r / 2;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         const PlaneCoord c = planeCoord(cfg_.geometry, p);
@@ -302,9 +302,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
     inGc_ = false;
     inCheckpoint_ = false;
 
-    const std::uint32_t reserved = cfg_.recovery.reservedBlocksPerPlane;
     const std::uint32_t data_blocks =
-        cfg_.geometry.blocksPerPlane - reserved;
+        cfg_.geometry.blocksPerPlane - kReservedBlocksPerPlane;
 
     // One mapping candidate per (source, lpn); highest sequence wins.
     struct Cand
@@ -515,7 +514,7 @@ void
 Ftl::rebuildAllocator()
 {
     const std::uint32_t reserved =
-        cfg_.recovery.enabled ? cfg_.recovery.reservedBlocksPerPlane : 0;
+        cfg_.recovery.enabled ? kReservedBlocksPerPlane : 0;
     const std::uint32_t data_blocks =
         cfg_.geometry.blocksPerPlane - reserved;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {

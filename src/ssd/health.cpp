@@ -81,7 +81,7 @@ DeviceHealth::evaluate()
     // hysteresis margin.  kFailed is terminal.
     if (state_ != HealthState::kHealthy && state_ != HealthState::kFailed &&
         now_ - enteredAt_ >= cfg_.minDwell &&
-        pressure_ <= escalateThreshold(state_) * (1.0 - cfg_.hysteresis))
+        pressure_ <= escalateThreshold(state_) * (1.0 - kHysteresis))
         transitionTo(
             static_cast<HealthState>(static_cast<std::uint8_t>(state_) - 1));
 }

@@ -15,14 +15,15 @@
  *  - scrub refresh relocations (media wearing out faster than patrol);
  *  - sustained queue depth (submissions landing in a near-full SQ).
  *
- * Each signal charges a configured weight; the budget decays with a
- * configured half-life, so isolated events fade while a storm's burst
- * accumulates.  Transitions are deterministic and hysteresis-guarded:
- * escalation fires the moment pressure crosses the next state's
- * threshold (one step at a time); de-escalation additionally requires a
- * minimum dwell in the state *and* pressure below the state's own entry
- * threshold times (1 - hysteresis), so the machine cannot oscillate at
- * a boundary.  kFailed is terminal.  While power is lost the machine is
+ * Each signal charges a fixed weight (retired blocks: a configured
+ * one); the budget decays with a configured half-life, so isolated
+ * events fade while a storm's burst accumulates.  Transitions are
+ * deterministic and hysteresis-guarded: escalation fires the moment
+ * pressure crosses the next state's threshold (one step at a time);
+ * de-escalation additionally requires a minimum dwell in the state
+ * *and* pressure below the state's own entry threshold times
+ * (1 - kHysteresis), so the machine cannot oscillate at a boundary.
+ * kFailed is terminal.  While power is lost the machine is
  * frozen: no decay, no transitions (the device's state is legitimately
  * inconsistent mid-cut).
  *
@@ -72,6 +73,30 @@ struct HealthTransition
 class DeviceHealth
 {
   public:
+    /** De-escalation margin: a state steps back toward healthy only
+     *  once pressure has fallen below its own entry threshold times
+     *  (1 - kHysteresis). */
+    static constexpr double kHysteresis = 0.25;
+    static_assert(kHysteresis > 0.0 && kHysteresis < 1.0,
+                  "without a nonzero de-escalation margin the machine "
+                  "oscillates at a threshold boundary");
+
+    /** @name Signal weights (pressure charged per event). */
+    /// @{
+    static constexpr double kWeightUncorrectable = 4.0; ///< per bad page
+    static constexpr double kWeightRebuild = 1.0;       ///< RAIN rebuild
+    static constexpr double kWeightRefresh = 0.25;      ///< scrub refresh
+    static constexpr double kWeightQueuePressure = 0.5; ///< near-full SQ
+    /// @}
+
+    /** SQ occupancy fraction at which a submission charges
+     *  kWeightQueuePressure (sustained-queue-depth signal). */
+    static constexpr double kQueuePressureFraction = 0.75;
+
+    /** Degraded-state throttle: background scrub batches shrink to
+     *  scrubWordlinesPerPass / this (min 1). */
+    static constexpr std::uint32_t kDegradedScrubDivisor = 4;
+
     explicit DeviceHealth(const HealthConfig &cfg);
 
     /**
@@ -84,13 +109,13 @@ class DeviceHealth
 
     Tick now() const { return now_; }
 
-    /** @name Signal feeds (each charges its configured weight). */
+    /** @name Signal feeds (each charges its weight). */
     /// @{
-    void noteUncorrectable() { charge(cfg_.weightUncorrectable); }
-    void noteRebuild() { charge(cfg_.weightRebuild); }
+    void noteUncorrectable() { charge(kWeightUncorrectable); }
+    void noteRebuild() { charge(kWeightRebuild); }
     void noteRetiredBlock() { charge(cfg_.weightRetiredBlock); }
-    void noteRefresh() { charge(cfg_.weightRefresh); }
-    void noteQueuePressure() { charge(cfg_.weightQueuePressure); }
+    void noteRefresh() { charge(kWeightRefresh); }
+    void noteQueuePressure() { charge(kWeightQueuePressure); }
     /// @}
 
     /** Record one host write the policy admitted (read-only entry

@@ -26,7 +26,7 @@ MediaScrubber::pump(Tick now, std::vector<PhysOp> &ops)
     std::uint32_t batch = cfg_.media.scrubWordlinesPerPass;
     if (health_ && health_->backgroundThrottled())
         batch = std::max<std::uint32_t>(
-            1, batch / cfg_.health.degradedScrubDivisor);
+            1, batch / DeviceHealth::kDegradedScrubDivisor);
     for (std::uint32_t n = 0; n < batch; ++n) {
         scanOne(s, ops);
         advanceCursor();

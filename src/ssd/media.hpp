@@ -78,7 +78,7 @@ class MediaScrubber
      * Attach the device health machine (ssd/health.hpp): refreshes,
      * repairs and uncorrectable pages charge its error budget, and in
      * degraded states the patrol batch shrinks to scrubWordlinesPerPass
-     * / HealthConfig::degradedScrubDivisor so background traffic yields
+     * / DeviceHealth::kDegradedScrubDivisor so background traffic yields
      * to distressed foreground I/O.
      */
     void setHealth(DeviceHealth *health) { health_ = health; }

@@ -6,8 +6,7 @@ namespace parabit::ssd {
 
 RainController::RainController(const SsdConfig &cfg,
                                std::vector<flash::Chip> &chips)
-    : geom_(cfg.geometry), storeData_(cfg.storeData),
-      chargeParity_(cfg.rain.chargeParityPrograms), chips_(&chips)
+    : geom_(cfg.geometry), storeData_(cfg.storeData), chips_(&chips)
 {
 }
 
@@ -71,7 +70,7 @@ RainController::onProgram(const flash::PhysPageAddr &a,
             xorInto(stripeKey(a), *d);
     }
     ++updates_;
-    if (chargeParity_ && !(health_ && health_->backgroundThrottled())) {
+    if (!(health_ && health_->backgroundThrottled())) {
         // One stripe-buffer destage program rides along with the data
         // program; it is booked as background traffic on the rotating
         // parity die and has no functional side effect.  A degraded

@@ -10,8 +10,9 @@
  * stripe in its battery-backed stripe buffer:
  *
  *  - onProgram() folds every data-page program into its stripe's parity
- *    (the FTL calls it from its single program gateway) and, when
- *    configured, books one parity-destage program on the timing model;
+ *    (the FTL calls it from its single program gateway) and, unless
+ *    the device is degraded, books one parity-destage program on the
+ *    timing model;
  *  - willInvalidate() folds a page back *out* before the FTL drops it
  *    (the simulator's invalidate() releases the payload, so the XOR
  *    must happen first);
@@ -65,7 +66,7 @@ class RainController
     void setHealth(const DeviceHealth *health) { health_ = health; }
 
     /** Fold the just-programmed page at @p a into its stripe's parity;
-     *  books the parity-destage program on @p ops when configured. */
+     *  books the parity-destage program on @p ops unless degraded. */
     void onProgram(const flash::PhysPageAddr &a, std::vector<PhysOp> &ops);
 
     /** Fold the page at @p a back out of its stripe's parity.  Must be
@@ -139,7 +140,6 @@ class RainController
 
     flash::FlashGeometry geom_;
     bool storeData_;
-    bool chargeParity_;
     std::vector<flash::Chip> *chips_;
     const DeviceHealth *health_ = nullptr;
     /** Stripe key -> parity page (store-data mode only). */

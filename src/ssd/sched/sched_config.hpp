@@ -4,8 +4,8 @@
  *
  * The scheduler replaces the monolithic greedy Timeline booking with
  * per-die / per-channel queues arbitrated by a pluggable policy.  The
- * default configuration (FCFS, no channel command modelling, no
- * batching) is tick-identical to the historical greedy path, so
+ * default configuration (FCFS, no channel command modelling) is
+ * tick-identical to the historical greedy path, so
  * existing latency results are the regression anchor; every other knob
  * is opt-in.
  */
@@ -56,14 +56,6 @@ struct SchedConfig
      * default for seed compatibility.
      */
     bool cmdOnChannel = false;
-
-    /**
-     * Coalesce consecutive same-die ParaBit array jobs into one
-     * multi-plane activation: the group shares a single command issue
-     * and its planes sense in lockstep (every member's array time is
-     * padded to the longest member's).  Off by default.
-     */
-    bool multiPlaneBatch = false;
 
     /**
      * Read-priority policy: how many times one program/erase may be

@@ -41,8 +41,7 @@ TransactionScheduler::TransactionScheduler(
       latency_(cfg.latencySampling ? kNumTxClasses : 0),
       submitted_("sched.tx.submitted"),
       completedCount_("sched.tx.completed"),
-      suspendCount_("sched.suspends"), batches_("sched.batch.groups"),
-      batchedJobs_("sched.batch.jobs"),
+      suspendCount_("sched.suspends"),
       maxQueueDepth_("sched.queue.max_depth")
 {
     latencyHist_.reserve(kNumTxClasses);
@@ -189,13 +188,8 @@ Tick
 TransactionScheduler::firstEarliest(const TxState &st) const
 {
     // The command overhead is a die-side delay unless modelled as a
-    // channel phase; batch followers add their leader-alignment delay.
-    Tick delay = st.tx.extraDelay;
-    if (!cfg_.cmdOnChannel)
-    {
-        delay += st.tx.cmdTicks;
-    }
-    return st.tx.readyAt + delay;
+    // channel phase.
+    return cfg_.cmdOnChannel ? st.tx.readyAt : st.tx.readyAt + st.tx.cmdTicks;
 }
 
 std::uint64_t
@@ -587,8 +581,6 @@ TransactionScheduler::stats() const
     s.submitted = submitted_.value();
     s.completed = completedCount_.value();
     s.suspends = suspendCount_.value();
-    s.batches = batches_.value();
-    s.batchedJobs = batchedJobs_.value();
     s.maxQueueDepth = static_cast<std::size_t>(maxQueueDepth_.value());
     return s;
 }

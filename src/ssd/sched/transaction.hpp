@@ -63,9 +63,6 @@ struct DeviceTransaction
     Tick readyAt = 0;
     /** Command/address overhead (die delay or channel booking). */
     Tick cmdTicks = 0;
-    /** Extra die-side delay before the first phase; used by multi-plane
-     *  batch followers that ride a leader's shared command issue. */
-    Tick extraDelay = 0;
     Tick xferInTicks = 0;
     Tick arrayTicks = 0;
     Tick xferOutTicks = 0;

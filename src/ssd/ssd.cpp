@@ -331,15 +331,18 @@ SsdDevice::installFaultHooks()
 void
 SsdDevice::injectFault(const FaultSpec &spec)
 {
-    FaultInjector &inj = faultInjector();
-    inj.addFault(spec);
-    // Re-derive the plane-level state (dead flags, stuck sets) from the
-    // injector so repeated injections stay idempotent.
+    faultInjector().addFault(spec);
+    applyPlaneFaults();
+}
+
+void
+SsdDevice::applyPlaneFaults()
+{
     for (PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
         const PlaneCoord c = planeCoord(cfg_.geometry, p);
         flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
-        pl.setDead(inj.planeDead(p));
-        pl.setStuckBitlines(inj.stuckBitlines(p));
+        pl.setDead(injector_->planeDead(p));
+        pl.setStuckBitlines(injector_->stuckBitlines(p));
     }
 }
 
@@ -349,15 +352,8 @@ SsdDevice::clearTransientFaults()
     if (!injector_)
         return 0;
     const std::size_t removed = injector_->clearTransient();
-    // Re-derive the plane-level state from the thinned schedule, the
-    // same way injectFault() applies it: stuck-bitline sets shrink and
-    // permanent dead flags re-assert.
-    for (PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
-        pl.setDead(injector_->planeDead(p));
-        pl.setStuckBitlines(injector_->stuckBitlines(p));
-    }
+    // Stuck-bitline sets shrink and permanent dead flags re-assert.
+    applyPlaneFaults();
     return removed;
 }
 
@@ -432,44 +428,12 @@ sched::TxGroup
 SsdDevice::submitArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
 {
     sched::TxGroup g;
-    std::size_t i = 0;
-    while (i < jobs.size()) {
-        // Multi-plane batching: a run of consecutive jobs on distinct
-        // planes of one die shares a single command issue and senses in
-        // lockstep (every member pays the slowest member's array time).
-        std::size_t run = 1;
-        if (cfg_.sched.multiPlaneBatch) {
-            const flash::PhysPageAddr &a = jobs[i].loc;
-            while (i + run < jobs.size()) {
-                const flash::PhysPageAddr &b = jobs[i + run].loc;
-                if (b.channel != a.channel || b.chip != a.chip ||
-                    b.die != a.die)
-                    break;
-                ++run;
-            }
-        }
-        int maxSro = 0;
-        for (std::size_t j = 0; j < run; ++j)
-            maxSro = std::max(maxSro, jobs[i + j].sroCount);
-        for (std::size_t j = 0; j < run; ++j) {
-            sched::DeviceTransaction tx = toTransaction(jobs[i + j], ready_at);
-            if (run > 1) {
-                tx.arrayTicks = cfg_.timing.senseTime(maxSro);
-                if (j > 0) {
-                    // Followers ride the leader's command issue: no
-                    // channel booking of their own, same start offset.
-                    tx.extraDelay = tx.cmdTicks;
-                    tx.cmdTicks = 0;
-                }
-            }
-            const std::uint64_t id = sched_.submit(tx);
-            if (g.empty())
-                g.lo = id;
-            g.hi = id + 1;
-        }
-        if (run > 1)
-            sched_.noteBatch(run);
-        i += run;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t id =
+            sched_.submit(toTransaction(jobs[i], ready_at));
+        if (i == 0)
+            g.lo = id;
+        g.hi = id + 1;
     }
     return g;
 }

@@ -105,8 +105,7 @@ class SsdDevice
      */
     sched::TxGroup submitOps(const std::vector<PhysOp> &ops, Tick ready_at);
 
-    /** Queue in-flash array jobs (applies multi-plane batching when
-     *  configured). */
+    /** Queue in-flash array jobs, like submitOps(). */
     sched::TxGroup submitArrayJobs(const std::vector<ArrayJob> &jobs,
                                    Tick ready_at);
 
@@ -249,6 +248,10 @@ class SsdDevice
     sched::DeviceTransaction toTransaction(const ArrayJob &job,
                                            Tick ready_at) const;
     void installFaultHooks();
+
+    /** Re-derive every plane's dead flag and stuck bitlines from the
+     *  injector's schedule, so repeated injections stay idempotent. */
+    void applyPlaneFaults();
 
     /** Advance every chip's simulated-time cursor (retention ages
      *  against it); monotonic, so out-of-order calls are safe. */

@@ -143,7 +143,7 @@ TEST(Chip, ErrorInjectionReportsBitErrors)
     // Extremely aggressive error model so flips are certain.
     ErrorModelConfig ec;
     ec.observedErrorsAtRef =
-        0.05 * ec.propagationSurvival * ec.refSensings * ec.wordlineBits;
+        0.05 * kPropagationSurvival * kRefSensings * ec.wordlineBits;
     ec.refPeCycles = 1.0;
     ec.decadesOverLife = 0.0; // flat: same rate at 0 P/E
     Chip chip(g, true, ec, 99);
@@ -197,9 +197,8 @@ TEST(Chip, SharedLatchArrayMatchesPerCallReference)
     // between calls.  Results and bit_errors must match the reference,
     // with the error model off and on.
     ErrorModelConfig noisy_cfg;
-    noisy_cfg.observedErrorsAtRef = 0.01 * noisy_cfg.propagationSurvival *
-                                    noisy_cfg.refSensings *
-                                    noisy_cfg.wordlineBits;
+    noisy_cfg.observedErrorsAtRef = 0.01 * kPropagationSurvival *
+                                    kRefSensings * noisy_cfg.wordlineBits;
     noisy_cfg.refPeCycles = 1.0;
     noisy_cfg.decadesOverLife = 0.0;
     FlashGeometry odd = tinyGeom();

@@ -63,8 +63,8 @@ TEST(ErrorModel, InjectionMeanMatchesRate)
 TEST(ErrorModel, InjectionActuallyFlipsBits)
 {
     ErrorModelConfig cfg;
-    cfg.observedErrorsAtRef = 0.01 * cfg.propagationSurvival *
-                              cfg.refSensings * cfg.wordlineBits;
+    cfg.observedErrorsAtRef =
+        0.01 * kPropagationSurvival * kRefSensings * cfg.wordlineBits;
     cfg.refPeCycles = 100;
     ErrorModel em(cfg);
     Rng rng(7);

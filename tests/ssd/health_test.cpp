@@ -24,7 +24,6 @@ TEST(HealthConfigValidation, DisabledConfigIsInertWhateverTheKnobs)
     SsdConfig cfg = SsdConfig::tiny();
     cfg.health.enabled = false;
     cfg.health.degradedThreshold = -1.0; // nonsense, but inert
-    cfg.health.hysteresis = 7.0;
     cfg.health.minDwell = 0;
     EXPECT_EQ(validateHealthConfig(cfg), nullptr);
 }
@@ -51,29 +50,21 @@ TEST(HealthConfigValidation, RejectsUnorderedThresholds)
     EXPECT_NE(validateHealthConfig(cfg), nullptr);
 }
 
-TEST(HealthConfigValidation, RejectsDegenerateHysteresisAndClocks)
+TEST(HealthConfigValidation, RejectsDegenerateClocks)
 {
     SsdConfig cfg = SsdConfig::tiny();
     cfg.health.enabled = true;
-    cfg.health.hysteresis = 0.0;
+    cfg.health.pressureHalfLife = 0;
     const char *err = validateHealthConfig(cfg);
     ASSERT_NE(err, nullptr);
-    EXPECT_NE(std::string(err).find("hysteresis"), std::string::npos);
-
-    cfg = SsdConfig::tiny();
-    cfg.health.enabled = true;
-    cfg.health.pressureHalfLife = 0;
-    ASSERT_NE(validateHealthConfig(cfg), nullptr);
+    EXPECT_NE(std::string(err).find("pressureHalfLife"), std::string::npos);
 
     cfg = SsdConfig::tiny();
     cfg.health.enabled = true;
     cfg.health.minDwell = 0;
-    ASSERT_NE(validateHealthConfig(cfg), nullptr);
-
-    cfg = SsdConfig::tiny();
-    cfg.health.enabled = true;
-    cfg.health.degradedScrubDivisor = 0;
-    ASSERT_NE(validateHealthConfig(cfg), nullptr);
+    err = validateHealthConfig(cfg);
+    ASSERT_NE(err, nullptr);
+    EXPECT_NE(std::string(err).find("minDwell"), std::string::npos);
 }
 
 TEST(HealthConfigValidation, DeviceConstructionRejectsBrokenConfig)
@@ -82,10 +73,10 @@ TEST(HealthConfigValidation, DeviceConstructionRejectsBrokenConfig)
         {
             SsdConfig cfg = SsdConfig::tiny();
             cfg.health.enabled = true;
-            cfg.health.hysteresis = 1.5;
+            cfg.health.minDwell = 0;
             SsdDevice dev(cfg);
         },
-        "hysteresis");
+        "minDwell");
 }
 
 // ---------------------------------------------------------------------
@@ -99,7 +90,6 @@ testMachineConfig()
     h.degradedThreshold = 4.0;
     h.readOnlyThreshold = 12.0;
     h.failedThreshold = 100.0;
-    h.hysteresis = 0.25;
     h.pressureHalfLife = 100; // ticks; fast decay for the tests
     h.minDwell = 1000;
     return h;
@@ -274,6 +264,45 @@ TEST(HostHealthPolicy, ReadOnlyDeviceRejectsWritesWithDistinctStatus)
     EXPECT_TRUE(r->ok()) << "reads keep flowing in read-only";
     EXPECT_EQ(host.writeRejects(), 1u);
     EXPECT_EQ(h->admittedWritesSinceEntry(), 0u);
+}
+
+TEST(HostHealthPolicy, UnwrittenReadsLeaveDeviceHealthyDeadPlaneReadsCharge)
+{
+    ParaBitDevice dev(healthyTinyConfig());
+    dev.writeMeta(0, 1);
+    ssd::DeviceHealth *h = dev.ssd().health();
+    ASSERT_NE(h, nullptr);
+    HostInterface host(dev, 1, 32);
+
+    // Eight reads of never-written LPNs complete 0x281, but an unmapped
+    // LPN is a host-side condition: charged as uncorrectable pages they
+    // would push the device past readOnlyThreshold.
+    for (nvme::Lpn lpn = 100; lpn < 108; ++lpn)
+        ASSERT_TRUE(host.submitRead(0, lpn));
+    EXPECT_EQ(host.pump(), 8u);
+    for (int i = 0; i < 8; ++i) {
+        const auto c = host.reap(0);
+        ASSERT_TRUE(c);
+        EXPECT_EQ(c->status, nvme::kUnrecoveredReadError);
+    }
+    EXPECT_EQ(h->state(), ssd::HealthState::kHealthy);
+    EXPECT_EQ(h->pressure(), 0.0);
+
+    // A mapped page on a dead plane is a media error and still charges.
+    const auto a = dev.ssd().ftl().lookup(0);
+    ASSERT_TRUE(a.has_value());
+    ssd::FaultSpec s;
+    s.cls = ssd::FaultClass::kDeadPlane;
+    s.plane = ssd::planeIndex(dev.ssd().geometry(),
+                              {a->channel, a->chip, a->die, a->plane});
+    dev.ssd().injectFault(s);
+    ASSERT_TRUE(host.submitRead(0, 0));
+    EXPECT_EQ(host.pump(), 1u);
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->status, nvme::kUnrecoveredReadError);
+    EXPECT_GT(h->pressure(), 0.0);
+    EXPECT_LE(h->pressure(), ssd::DeviceHealth::kWeightUncorrectable);
 }
 
 TEST(HostHealthPolicy, DegradedDeviceShedsFormulasButServesIo)

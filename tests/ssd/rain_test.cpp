@@ -242,19 +242,11 @@ TEST(Rain, ParityRecomputedAcrossPowerCycle)
 TEST(Rain, DestageProgramsAreBookedWhenCharged)
 {
     SsdConfig cfg = rainConfig();
-    cfg.rain.chargeParityPrograms = true;
     SsdDevice dev(cfg);
     const auto ref = seededPages(cfg, 32, 0x17);
     writeAll(dev, ref, 0);
     EXPECT_GT(dev.rain()->destagePrograms(), 0u);
-
-    SsdConfig quiet = rainConfig();
-    quiet.rain.chargeParityPrograms = false;
-    SsdDevice dev2(quiet);
-    writeAll(dev2, ref, 0);
-    EXPECT_EQ(dev2.rain()->destagePrograms(), 0u);
-    // Parity still functionally consistent without the booked traffic.
-    expectParityConsistent(dev2, ref);
+    expectParityConsistent(dev, ref);
 }
 
 } // namespace

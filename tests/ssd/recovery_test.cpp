@@ -91,11 +91,14 @@ writeUntilCut(SsdDevice &dev, Lpn base, std::map<Lpn, BitVector> &acked)
 
 TEST(Recovery, ReservedRegionMustBeEvenAndLeaveDataBlocks)
 {
+    // Even-ness is a static_assert beside Ftl::kReservedBlocksPerPlane;
+    // the geometry is outside input and must leave data blocks too.
     SsdConfig c = recCfg();
-    c.recovery.reservedBlocksPerPlane = 3;
-    EXPECT_DEATH(SsdDevice dev(c), "reservedBlocksPerPlane");
-    c.recovery.reservedBlocksPerPlane = 16;
-    EXPECT_DEATH(SsdDevice dev(c), "reservedBlocksPerPlane");
+    c.geometry.blocksPerPlane = Ftl::kReservedBlocksPerPlane + 2;
+    EXPECT_DEATH(SsdDevice dev(c), "kReservedBlocksPerPlane");
+    c.geometry.blocksPerPlane = Ftl::kReservedBlocksPerPlane + 3;
+    SsdDevice dev(c);
+    EXPECT_GT(dev.ftl().logicalPages(), 0u);
 }
 
 TEST(Recovery, ReservedRegionShrinksLogicalCapacity)

@@ -193,54 +193,6 @@ TEST(SchedReadPriority, ReducesReadLatencyUnderParaBitInterference)
     EXPECT_EQ(fcfs, 925u); // waits for the program to finish
 }
 
-TEST(SchedBatching, CoalescesSameDieArrayJobs)
-{
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.storeData = false;
-    cfg.sched.multiPlaneBatch = true;
-    SsdDevice dev(cfg);
-    const flash::FlashTiming &t = cfg.timing;
-
-    std::vector<ArrayJob> jobs;
-    ArrayJob j0;
-    j0.loc = planeAddr(0, 0, 0);
-    j0.sroCount = 2;
-    ArrayJob j1;
-    j1.loc = planeAddr(0, 0, 1); // other plane, same die
-    j1.sroCount = 4;
-    jobs.push_back(j0);
-    jobs.push_back(j1);
-    const Tick done = dev.scheduleArrayJobs(jobs, 0);
-    // Lockstep: both planes sense for the longest member (4 SROs),
-    // sharing one command issue.
-    EXPECT_EQ(done, t.tCmdOverhead + t.senseTime(4));
-    const SchedStats s = dev.scheduler().stats();
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.batchedJobs, 2u);
-    // Both planes booked the padded array time.
-    EXPECT_EQ(s.dieBusy.at(0), t.senseTime(4));
-    EXPECT_EQ(s.dieBusy.at(1), t.senseTime(4));
-}
-
-TEST(SchedBatching, DifferentDiesDoNotCoalesce)
-{
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.storeData = false;
-    cfg.sched.multiPlaneBatch = true;
-    SsdDevice dev(cfg);
-    std::vector<ArrayJob> jobs;
-    ArrayJob j0;
-    j0.loc = planeAddr(0, 0, 0);
-    j0.sroCount = 2;
-    ArrayJob j1;
-    j1.loc = planeAddr(0, 1, 0); // different chip
-    j1.sroCount = 4;
-    jobs.push_back(j0);
-    jobs.push_back(j1);
-    dev.scheduleArrayJobs(jobs, 0);
-    EXPECT_EQ(dev.scheduler().stats().batches, 0u);
-}
-
 TEST(SchedCmdOnChannel, CommandIssueBooksChannelTimeForEveryKind)
 {
     // Legacy model: the command byte of kPageRead/kBlockErase consumes
@@ -602,10 +554,8 @@ class VectorDispatchReference
     Tick
     firstEarliest(const Tx &st) const
     {
-        Tick delay = st.tx.extraDelay;
-        if (!cfg_.cmdOnChannel)
-            delay += st.tx.cmdTicks;
-        return st.tx.readyAt + delay;
+        return cfg_.cmdOnChannel ? st.tx.readyAt
+                                 : st.tx.readyAt + st.tx.cmdTicks;
     }
 
     static bool

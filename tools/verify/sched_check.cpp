@@ -73,7 +73,7 @@ class GreedyRef
     {
         Timeline &ch = chTls_.at(tx.addr.channel);
         Timeline &die = plTls_.at(planeIndex(tx.addr));
-        Tick ready = tx.readyAt + tx.extraDelay;
+        Tick ready = tx.readyAt;
         if (cmd_on_channel) {
             if (tx.cmdTicks > 0)
                 ready = ch.reserve(ready, tx.cmdTicks) + tx.cmdTicks;
