@@ -11,7 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <string>
 
 #include "common/logging.hpp"
@@ -126,17 +125,14 @@ BM_FtlWritePath(benchmark::State &state)
 BENCHMARK(BM_FtlWritePath);
 
 /**
- * One ReAllocate AND through the whole device stack per iteration.
- * Every ReAllocate op consumes a scratch LPN that is never released, so
- * a long-lived device ends up timing the out-of-space failure path; the
- * device and its operands are rebuilt off the clock every
- * kOpsPerDevice ops, well inside the scratch budget of the tiny preset.
- * A log warning or a failed op fails the run.
+ * One ReAllocate AND through the whole device stack per iteration, all
+ * on one device: every op's scratch copies are released when it
+ * retires, so the loop never fills the tiny preset.  A log warning or a
+ * failed op fails the run.
  */
 void
 BM_ParaBitOpEndToEnd(benchmark::State &state)
 {
-    constexpr int kOpsPerDevice = 128;
     std::uint64_t warnings = 0;
     LogSink previous =
         setLogSink([&warnings](LogLevel level, const std::string &) {
@@ -145,25 +141,15 @@ BM_ParaBitOpEndToEnd(benchmark::State &state)
         });
     const ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
     const std::size_t bits = cfg.geometry.pageBits();
-    const std::vector<BitVector> x{randomBits(bits, 5)};
-    const std::vector<BitVector> y{randomBits(bits, 6)};
-    std::optional<core::ParaBitDevice> dev;
-    int ops = kOpsPerDevice;
+    core::ParaBitDevice dev(cfg);
+    dev.writeData(0, {randomBits(bits, 5)});
+    dev.writeData(100, {randomBits(bits, 6)});
     std::uint64_t failed = 0;
     for (auto _ : state) {
-        if (ops == kOpsPerDevice) {
-            state.PauseTiming();
-            dev.emplace(cfg);
-            dev->writeData(0, x);
-            dev->writeData(100, y);
-            ops = 0;
-            state.ResumeTiming();
-        }
-        auto r = dev->bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
-                              core::Mode::kReAllocate);
+        auto r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
+                             core::Mode::kReAllocate);
         benchmark::DoNotOptimize(r.stats.senseOps);
         failed += r.status != core::ExecStatus::kOk;
-        ++ops;
     }
     setLogSink(std::move(previous));
     if (warnings > 0 || failed > 0)

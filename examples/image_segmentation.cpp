@@ -54,14 +54,16 @@ main()
         const auto u = toPages(seg.plane(0, 1, color), page_bits);
         const auto v = toPages(seg.plane(0, 2, color), page_bits);
         const auto pages = static_cast<std::uint32_t>(y.size());
-        const nvme::Lpn base = 1000 * static_cast<nvme::Lpn>(color);
+        // Each colour's planes take 150 LPNs: 4 colours stay well
+        // inside the tiny device's host capacity.
+        const nvme::Lpn base = 150 * static_cast<nvme::Lpn>(color);
         dev.writeDataLsbOnly(base + 0, y);
-        dev.writeDataLsbOnly(base + 100, u);
-        dev.writeDataLsbOnly(base + 200, v);
+        dev.writeDataLsbOnly(base + 50, u);
+        dev.writeDataLsbOnly(base + 100, v);
 
         const core::ExecResult r =
             dev.bitwiseChain(flash::BitwiseOp::kAnd,
-                             {base + 0, base + 100, base + 200}, pages,
+                             {base + 0, base + 50, base + 100}, pages,
                              core::Mode::kPreAllocated);
 
         // Reassemble the mask and check against the golden model.

@@ -42,6 +42,10 @@ enum Status : std::uint16_t
      *  range — the device health machine is in its read-only state and
      *  refuses to take new data it might not be able to keep. */
     kWriteProtected = 0x0020,
+    /** Generic-command-status: LBA out of range — the command names a
+     *  logical page at or above host capacity (the device's internal
+     *  LPNs, or nothing at all). */
+    kLbaOutOfRange = 0x0080,
     /** Media-error status type: unrecovered read error (operand data is
      *  gone — its plane or chip died). */
     kUnrecoveredReadError = 0x0281,

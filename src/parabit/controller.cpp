@@ -30,6 +30,7 @@ execStatusName(ExecStatus s)
       case ExecStatus::kOk: return "ok";
       case ExecStatus::kUncorrectable: return "uncorrectable";
       case ExecStatus::kDataLoss: return "data-loss";
+      case ExecStatus::kLbaOutOfRange: return "lba-out-of-range";
     }
     return "?";
 }
@@ -135,6 +136,15 @@ predictParity(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
 
 } // namespace
 
+void
+Controller::releaseScratch()
+{
+    ssd::Ftl &ftl = ssd_->ftl();
+    for (nvme::Lpn l = ftl.logicalPages(); l < scratchNext_; ++l)
+        ftl.releaseInternal(l);
+    resetScratch();
+}
+
 bool
 Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
                                 ExecStats &stats)
@@ -201,9 +211,7 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
         logWarn("ParaBit: plane " + std::to_string(p) +
                 " failed the compute self-test; using host fallback");
     }
-    planeTrust_[p] = ok;
-    ftl.trim(sx); // the test pages are garbage now
-    ftl.trim(sy);
+    planeTrust_[p] = ok; // the test pages go when the op retires
     return ok;
 }
 
@@ -350,6 +358,8 @@ std::optional<flash::PhysPageAddr>
 Controller::resolveOperand(nvme::Lpn lpn, Tick at)
 {
     ssd::Ftl &ftl = ssd_->ftl();
+    if (ftl.isInternal(lpn))
+        return std::nullopt; // no host data there, only scratch copies
     auto addr = ftl.lookup(lpn);
     if (addr && !ftl.pageAccessible(lpn)) {
         // A dead plane takes its resident operands with it — unless the
@@ -628,6 +638,13 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     ExecResult res;
     res.stats.start = at;
     res.stats.end = at;
+    const nvme::Lpn capacity = ssd_->ftl().logicalPages();
+    if (result_lpn && !batches.empty() &&
+        (*result_lpn >= capacity ||
+         batches.back().subOps.size() > capacity - *result_lpn)) {
+        res.status = ExecStatus::kLbaOutOfRange;
+        return res;
+    }
     const Bytes page = ssd_->geometry().pageBytes;
     const bool functional = ssd_->config().storeData;
     const std::uint64_t retired_before = ssd_->ftl().retiredBlocks();
@@ -705,6 +722,7 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         }
         res.pages = std::move(last.pages);
     }
+    releaseScratch();
     res.stats.retiredBlocks += ssd_->ftl().retiredBlocks() - retired_before;
     noteExec(res.stats);
     return res;

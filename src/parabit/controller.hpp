@@ -74,6 +74,9 @@ enum class ExecStatus : std::uint8_t
     kUncorrectable,
     /** An operand page is gone (its plane died); no path to the data. */
     kDataLoss,
+    /** The result write-back range reaches past host capacity; nothing
+     *  ran.  Decided before execution, so it never meets a page status. */
+    kLbaOutOfRange,
 };
 
 const char *execStatusName(ExecStatus s);
@@ -186,7 +189,10 @@ class Controller
     /**
      * Execute a batch list (from nvme::CmdParser) in @p mode, submitted
      * at @p at.  Batches with kBatchResult operands consume earlier
-     * batches' results.
+     * batches' results.  An operand page past host capacity holds no
+     * host data (kDataLoss, as an unmapped one); a write-back range
+     * reaching past it is refused with kLbaOutOfRange.  Every scratch
+     * copy the execution made is released before it returns.
      *
      * @param transfer_results stream final result to the host
      * @param result_lpn if set, the final result is also written back
@@ -220,8 +226,8 @@ class Controller
     void invalidatePlaneTrust() { planeTrust_.clear(); }
 
     /** Reset controller state after a power cycle: self-test verdicts
-     *  are volatile, and the scratch-LPN cursor restarts (its pages are
-     *  internal copies, safe to reuse after SPOR rebuilt the map). */
+     *  are volatile, and the scratch-LPN cursor rewinds (SPOR dropped
+     *  every internal LPN the cut left mapped). */
     void
     onPowerCycle()
     {
@@ -319,10 +325,14 @@ class Controller
                    BitVector *x_out, BitVector *y_out);
 
     /** A fresh internal LPN for a reallocated copy.  The cursor counts
-     *  down from the top of the logical range; resetScratch() rewinds
-     *  it (construction and power cycles). */
-    nvme::Lpn takeScratchLpn() { return scratchLpn_--; }
-    void resetScratch() { scratchLpn_ = ssd_->ftl().logicalPages() - 1; }
+     *  up from host capacity, so the live copies are the internal LPNs
+     *  [ftl().logicalPages(), scratchNext_); host commands never reach
+     *  them. */
+    nvme::Lpn takeScratchLpn() { return scratchNext_++; }
+    /** Rewind the cursor to host capacity (construction, power cycles). */
+    void resetScratch() { scratchNext_ = ssd_->ftl().logicalPages(); }
+    /** Release every live copy (the op retired) and rewind. */
+    void releaseScratch();
 
     /** Count @p n executed page ops of (@p mode, @p op) on the
      *  registered per-mode/per-op instruments. */
@@ -333,7 +343,7 @@ class Controller
     void noteExec(const ExecStats &stats);
 
     ssd::SsdDevice *ssd_;
-    nvme::Lpn scratchLpn_ = 0; ///< see takeScratchLpn()
+    nvme::Lpn scratchNext_ = 0; ///< see takeScratchLpn()
     ReliabilityPolicy policy_;
     /** Per-plane self-test verdicts (flat plane index -> trusted). */
     std::unordered_map<ssd::PlaneIndex, bool> planeTrust_;

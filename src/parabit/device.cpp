@@ -1,5 +1,7 @@
 #include "parabit/device.hpp"
 
+#include <string>
+
 #include "common/logging.hpp"
 #include "nvme/parser.hpp"
 
@@ -8,6 +10,16 @@ namespace parabit::core {
 ParaBitDevice::ParaBitDevice(const ssd::SsdConfig &cfg)
     : ssd_(std::make_unique<ssd::SsdDevice>(cfg)), controller_(*ssd_)
 {
+}
+
+void
+ParaBitDevice::requireHostRange(nvme::Lpn start, std::size_t pages) const
+{
+    const std::uint64_t capacity = ssd_->ftl().logicalPages();
+    if (start >= capacity || pages > capacity - start)
+        fatal("ParaBitDevice: placement reaches past host capacity (LPN " +
+              std::to_string(start) + " + " + std::to_string(pages) +
+              " pages, capacity " + std::to_string(capacity) + ")");
 }
 
 void
@@ -24,6 +36,7 @@ void
 ParaBitDevice::writeDataLsbOnly(nvme::Lpn start,
                                 const std::vector<BitVector> &pages)
 {
+    requireHostRange(start, pages.size());
     std::vector<ssd::PhysOp> ops;
     for (std::size_t i = 0; i < pages.size(); ++i)
         ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops);
@@ -37,6 +50,8 @@ ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
 {
     if (x_pages.size() != y_pages.size())
         fatal("writeOperandPair: operand sizes differ");
+    requireHostRange(x_start, x_pages.size());
+    requireHostRange(y_start, y_pages.size());
     std::vector<ssd::PhysOp> ops;
     for (std::size_t i = 0; i < x_pages.size(); ++i)
         ssd_->ftl().writePair(x_start + i, y_start + i, &x_pages[i],
@@ -49,6 +64,7 @@ ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
                                        const std::vector<BitVector> &pages,
                                        std::uint32_t plane)
 {
+    requireHostRange(start, pages.size());
     std::vector<ssd::PhysOp> ops;
     for (std::size_t i = 0; i < pages.size(); ++i)
         ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops, plane);
@@ -67,6 +83,7 @@ ParaBitDevice::writeMeta(nvme::Lpn start, std::uint32_t pages)
 void
 ParaBitDevice::writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages)
 {
+    requireHostRange(start, pages);
     std::vector<ssd::PhysOp> ops;
     for (std::uint32_t i = 0; i < pages; ++i)
         ssd_->ftl().writeLsbOnly(start + i, nullptr, ops);
@@ -77,6 +94,8 @@ void
 ParaBitDevice::writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                                     std::uint32_t pages)
 {
+    requireHostRange(x_start, pages);
+    requireHostRange(y_start, pages);
     std::vector<ssd::PhysOp> ops;
     for (std::uint32_t i = 0; i < pages; ++i)
         ssd_->ftl().writePair(x_start + i, y_start + i, nullptr, nullptr, ops);

@@ -136,6 +136,11 @@ class ParaBitDevice
     Controller &controller() { return controller_; }
 
   private:
+    /** Die unless [@p start, @p start + @p pages) lies below host
+     *  capacity: the LPNs above it are the controller's scratch copies,
+     *  which the next op would release (writePage has the same bound). */
+    void requireHostRange(nvme::Lpn start, std::size_t pages) const;
+
     std::unique_ptr<ssd::SsdDevice> ssd_;
     Controller controller_;
     Tick now_ = 0;

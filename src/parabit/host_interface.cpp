@@ -82,8 +82,25 @@ toNvmeStatus(ExecStatus s)
       case ExecStatus::kOk: return nvme::kSuccess;
       case ExecStatus::kUncorrectable: return nvme::kInternalError;
       case ExecStatus::kDataLoss: return nvme::kUnrecoveredReadError;
+      case ExecStatus::kLbaOutOfRange: return nvme::kLbaOutOfRange;
     }
     return nvme::kInternalError;
+}
+
+/** True when every logical operand page of @p batches lies below
+ *  @p capacity; the LPNs above it are the controller's scratch copies. */
+bool
+inHostRange(const std::vector<nvme::Batch> &batches, nvme::Lpn capacity)
+{
+    for (const nvme::Batch &b : batches) {
+        const bool x_logical =
+            b.firstOperand.kind == nvme::OperandRef::Kind::kLogicalPages;
+        for (const nvme::SubOperation &sub : b.subOps)
+            if ((x_logical && sub.first.lpn >= capacity) ||
+                sub.second.lpn >= capacity)
+                return false;
+    }
+    return true;
 }
 
 /** Host-visible command name for trace spans. */
@@ -372,8 +389,9 @@ HostInterface::pump()
         /** Attribution token bracketing this command's scheduler
          *  submissions (set only while metrics/tracing are on). */
         std::optional<std::uint64_t> token = std::nullopt;
-        /** A read of a mapped page on a dead plane: a media error that
-         *  charges health (an unwritten LPN is the host's business). */
+        /** A read of a mapped page on a dead plane that RAIN could not
+         *  rebuild: a media error that charges health (an unwritten LPN
+         *  is the host's business). */
         bool mediaError = false;
     };
     std::vector<DeferredPlain> deferred;
@@ -485,6 +503,19 @@ HostInterface::pump()
                     groups[p.qid].clear();
                     const auto batches = parser_.parse(group);
                     flushDeferred();
+                    if (!inHostRange(batches,
+                                     dev_->ssd().ftl().logicalPages())) {
+                        // An operand past host capacity: the command is
+                        // malformed, whatever the device's health.
+                        const Tick at =
+                            std::max(dev_->now(), p.f.submittedAt);
+                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
+                                             at, nvme::kLbaOutOfRange);
+                        noteCmdSpan(p.qid, "formula", p.f.submittedAt, at,
+                                    nvme::kLbaOutOfRange);
+                        ++retired;
+                        continue;
+                    }
                     if (health && !health->admitFormula()) {
                         // A degraded device sheds computation before it
                         // executes — formulas are deferrable work the
@@ -571,11 +602,14 @@ HostInterface::pump()
                 continue;
             }
 
-            // Plain I/O path.  Reads gate on page accessibility — a
-            // dead plane surfaces as a media error, not silent data.
+            // Plain I/O path.  An LPN past host capacity is refused
+            // before anything else looks at it.  Reads gate on page
+            // accessibility — a dead plane surfaces as a media error
+            // unless RAIN can rebuild the page, not as silent data.
             // A backed-off requeue carries a submission time past the
             // device clock; never execute (or complete) it earlier than
             // it was submitted.
+            ssd::Ftl &ftl = dev_->ssd().ftl();
             const nvme::Lpn lpn = p.f.cmd.slba() / parser_.sectorsPerPage();
             const Tick ready = std::max(dev_->now(), p.f.submittedAt);
             if (op == nvme::Opcode::kFlush) {
@@ -597,20 +631,34 @@ HostInterface::pump()
             }
             DeferredPlain d{p.qid, std::move(p.f), {}, nvme::kSuccess,
                             ready};
-            if (op == nvme::Opcode::kRead) {
+            if (lpn >= ftl.logicalPages()) {
+                d.status = nvme::kLbaOutOfRange;
+            } else if (op == nvme::Opcode::kRead) {
                 if (health && !health->admitRead()) {
                     // Failed device: nothing it returns can be vouched
                     // for.  The completion still posts — reject loudly.
                     d.status = nvme::kInternalError;
-                } else if (!dev_->ssd().ftl().pageAccessible(lpn)) {
-                    d.status = nvme::kUnrecoveredReadError;
-                    d.mediaError = dev_->ssd().ftl().lookup(lpn).has_value();
                 } else {
-                    std::vector<ssd::PhysOp> ops;
-                    dev_->ssd().ftl().readPage(lpn, ops);
-                    d.token = beginAttribution();
-                    d.group = dev_->ssd().submitOps(ops, ready);
-                    endAttribution(d.token);
+                    bool readable = ftl.pageAccessible(lpn);
+                    if (!readable && ftl.lookup(lpn)) {
+                        // A mapped page on a dead plane is a media error
+                        // unless RAIN parity rebuilds it, as it does a
+                        // formula operand.  The repair books its own
+                        // batch, so the pending one completes first.
+                        if (dev_->ssd().rain())
+                            flushDeferred();
+                        readable = dev_->ssd().repairPage(lpn, ready);
+                        d.mediaError = !readable;
+                    }
+                    if (!readable) {
+                        d.status = nvme::kUnrecoveredReadError;
+                    } else {
+                        std::vector<ssd::PhysOp> ops;
+                        ftl.readPage(lpn, ops);
+                        d.token = beginAttribution();
+                        d.group = dev_->ssd().submitOps(ops, ready);
+                        endAttribution(d.token);
+                    }
                 }
             } else if (health && !health->admitWrite()) {
                 // Read-only device: refuse new data it might not be
@@ -625,8 +673,7 @@ HostInterface::pump()
                 if (health)
                     health->noteAdmittedWrite();
                 std::vector<ssd::PhysOp> ops;
-                const bool wrote =
-                    dev_->ssd().ftl().writePage(lpn, nullptr, ops);
+                const bool wrote = ftl.writePage(lpn, nullptr, ops);
                 d.token = beginAttribution();
                 d.group = dev_->ssd().submitOps(ops, ready);
                 endAttribution(d.token);

@@ -71,6 +71,15 @@ Ftl::invalidatePhys(const flash::PhysPageAddr &a)
                                                               a.msb);
 }
 
+OobTag
+Ftl::relocationTag(const flash::PhysPageAddr &src, Lpn lpn)
+{
+    if (!isInternal(lpn))
+        return OobTag::kGcRelocated;
+    const flash::PageOob *oob = chipAt(src).pageOob(chipAddr(src));
+    return oob ? static_cast<OobTag>(oob->tag) : OobTag::kGcRelocated;
+}
+
 Lpn
 Ftl::lpnAt(const flash::PhysPageAddr &a) const
 {
@@ -265,7 +274,7 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
             auto dst = alloc_.nextPage(plane);
             while (dst && !powerLost_ &&
                    !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, OobTag::kGcRelocated,
+                                ops, lpn, relocationTag(src, lpn),
                                 lpn != kNoLpn &&
                                     scrambledLpns_.count(lpn) > 0)) {
                 ++programRetries_;
@@ -414,7 +423,7 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
             auto dst = alloc_.nextPage(plane);
             while (dst && !powerLost_ &&
                    !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, OobTag::kGcRelocated,
+                                ops, lpn, relocationTag(src, lpn),
                                 lpn != kNoLpn &&
                                     scrambledLpns_.count(lpn) > 0)) {
                 ++programRetries_;
@@ -615,6 +624,19 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
             ++pit;
     }
     return true;
+}
+
+void
+Ftl::releaseInternal(Lpn lpn)
+{
+    if (powerLost_)
+        return;
+    const auto it = map_.find(lpn);
+    if (it == map_.end())
+        return;
+    invalidatePhys(it->second);
+    reverse_.erase(flash::linearPageIndex(cfg_.geometry, it->second));
+    map_.erase(it);
 }
 
 std::optional<PagePair>
@@ -870,12 +892,12 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
         const bool lsb_only = t == OobTag::kParabitLsbOnly;
         ok = refreshOnePage(lsb, lsb_lpn,
                             lsb_only ? OobTag::kParabitLsbOnly
-                                     : OobTag::kGcRelocated,
+                                     : relocationTag(lsb, lsb_lpn),
                             lsb_only, ops) &&
              ok;
     }
     if (msb_valid && msb_lpn != kNoLpn)
-        ok = refreshOnePage(msb, msb_lpn, OobTag::kGcRelocated, false,
+        ok = refreshOnePage(msb, msb_lpn, relocationTag(msb, msb_lpn), false,
                             ops) &&
              ok;
     return ok;
@@ -888,6 +910,7 @@ Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
     if (it == map_.end())
         return false;
     const bool scr = scrambledLpns_.count(lpn) > 0;
+    const OobTag tag = relocationTag(it->second, lpn);
     for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
         if (powerLost_)
             break;
@@ -897,8 +920,7 @@ Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
             ++programRetries_;
             continue;
         }
-        if (!programPhys(*a, data, true, ops, lpn, OobTag::kGcRelocated,
-                         scr)) {
+        if (!programPhys(*a, data, true, ops, lpn, tag, scr)) {
             ++programRetries_;
             continue;
         }
@@ -973,6 +995,17 @@ Ftl::auditInvariants(InvariantReport &r) const
                    std::string("OOB scrambled flag ") +
                        (oob->scrambled ? "set" : "clear") +
                        " disagrees with the scrambled-LPN table");
+
+        // ftl.host_isolation, first half: an internal LPN is only ever
+        // a ParaBit copy.
+        const auto tag = static_cast<OobTag>(oob->tag);
+        if (isInternal(lpn) &&
+            !r.check(tag == OobTag::kParabitPair ||
+                     tag == OobTag::kParabitLsbOnly ||
+                     tag == OobTag::kParabitChainMsb))
+            r.fail("ftl.host_isolation", subj,
+                   "internal LPN carries OOB tag " +
+                       std::to_string(oob->tag) + ", not a ParaBit tag");
     }
 
     // One walk over every materialised block: valid-count accounting
@@ -996,6 +1029,21 @@ Ftl::auditInvariants(InvariantReport &r) const
                 const flash::PageState msb = blk->pageState(wl, true);
                 valid += (lsb == flash::PageState::kValid) +
                          (msb == flash::PageState::kValid);
+                // ftl.host_isolation, second half: host data (written or
+                // GC-moved) only ever names a host LPN.
+                for (const bool m : {false, true}) {
+                    const flash::PageOob *oob = blk->pageOob(wl, m);
+                    const auto tag =
+                        oob ? static_cast<OobTag>(oob->tag) : OobTag::kNone;
+                    if (blk->pageState(wl, m) == flash::PageState::kValid &&
+                        (tag == OobTag::kHostData ||
+                         tag == OobTag::kGcRelocated) &&
+                        !r.check(!isInternal(oob->lpn)))
+                        r.fail("ftl.host_isolation",
+                               subj + " wordline " + std::to_string(wl),
+                               "host-data page names internal LPN " +
+                                   std::to_string(oob->lpn));
+                }
                 // ftl.pair.lsb_msb: an MSB page is only ever programmed
                 // over a non-free LSB (interleaved order, writePair,
                 // writeIntoFreeMsb all guarantee it).
@@ -1026,6 +1074,17 @@ Ftl::debugCorruptMapping(Lpn lpn)
     // the old linear index, so the bijection audit must fire.
     it->second.wordline =
         (it->second.wordline + 1) % cfg_.geometry.wordlinesPerBlock;
+    return true;
+}
+
+bool
+Ftl::debugWriteHostTagged(Lpn lpn)
+{
+    std::vector<PhysOp> ops;
+    const auto a = allocateOrGc(pickAlivePlane(), false, ops);
+    if (!a || !programPhys(*a, nullptr, false, ops, lpn, OobTag::kHostData))
+        return false;
+    mapLpn(lpn, *a, ops);
     return true;
 }
 

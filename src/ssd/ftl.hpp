@@ -87,8 +87,18 @@ class Ftl
      */
     Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips);
 
-    /** Logical capacity in pages after over-provisioning. */
+    /** Logical capacity in pages after over-provisioning: the host
+     *  LPN range [0, logicalPages()). */
     std::uint64_t logicalPages() const { return logicalPages_; }
+
+    /** True for an internal LPN: one above host capacity, which only
+     *  the ParaBit controller's scratch copies use (see
+     *  releaseInternal()). */
+    bool
+    isInternal(Lpn lpn) const
+    {
+        return lpn >= logicalPages_ && lpn != kNoLpn;
+    }
 
     /** @name Standard host path. */
     /// @{
@@ -120,6 +130,15 @@ class Ftl
      * journal-flush program when provided.
      */
     bool trim(Lpn lpn, std::vector<PhysOp> *ops = nullptr);
+
+    /**
+     * Release internal LPN @p lpn (a scratch copy whose op retired):
+     * invalidate its page and unmap it.  Writes no journal record —
+     * recovery treats any OOB LPN above host capacity as garbage, and
+     * checkpoints leave internal LPNs out.  No-op when @p lpn is
+     * unmapped or power is lost (recovery then drops the copy).
+     */
+    void releaseInternal(Lpn lpn);
     /// @}
 
     /** @name ParaBit placement primitives. */
@@ -293,7 +312,10 @@ class Ftl
      *    counter equals a recount of its page states;
      *  - ftl.pair.lsb_msb: no wordline has a programmed MSB page over a
      *    free LSB page (MLC shared-wordline program order, which the
-     *    ParaBit pairing/chaining placements rely on).
+     *    ParaBit pairing/chaining placements rely on);
+     *  - ftl.host_isolation: every mapped internal LPN carries a ParaBit
+     *    OOB tag, and every valid host-data or GC-relocated page names a
+     *    host LPN (internal machinery never writes host-visible LPNs).
      *
      * Pure observation: no flash traffic, no timing effect.
      */
@@ -306,6 +328,14 @@ class Ftl
      * @return false when @p lpn is unmapped.  Test-only.
      */
     bool debugCorruptMapping(Lpn lpn);
+
+    /**
+     * Program a host-tagged page for @p lpn past writePage()'s capacity
+     * bound, so negative tests can prove ftl.host_isolation fires on an
+     * internal LPN.  @return false when no page could be programmed.
+     * Test-only.
+     */
+    bool debugWriteHostTagged(Lpn lpn);
     /// @}
 
     /** Direct chip access for the controller layer. */
@@ -320,6 +350,10 @@ class Ftl
      *  parity first (invalidate drops the payload the XOR needs).  The
      *  only invalidation gateway, as programPhys is for programs. */
     void invalidatePhys(const flash::PhysPageAddr &a);
+    /** OOB tag for a relocated copy of @p src, which holds @p lpn: a
+     *  host page becomes kGcRelocated, an internal one keeps its ParaBit
+     *  tag (ftl.host_isolation). */
+    OobTag relocationTag(const flash::PhysPageAddr &src, Lpn lpn);
     /** Relocate one page to @p plane with @p tag (refreshWordline's
      *  per-page path); retries across retired blocks like GC. */
     bool refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,

@@ -221,10 +221,21 @@ Ftl::checkpoint(std::vector<PhysOp> &ops)
     CheckpointImage img;
     img.seq = seq_;
     img.map.reserve(map_.size());
-    for (const auto &[lpn, a] : map_)
+    for (const auto &[lpn, a] : map_) {
+        if (isInternal(lpn)) {
+            // A scratch copy does not outlive a cut: it stays out of the
+            // image, and its block joins the scan, whose phase 4 then
+            // invalidates it.
+            img.scanBlocks.push_back(linearBlockId(
+                planeIndex(cfg_.geometry,
+                           PlaneCoord{a.channel, a.chip, a.die, a.plane}),
+                a.block));
+            continue;
+        }
         img.map.push_back(CheckpointImage::Entry{
             lpn, flash::linearPageIndex(cfg_.geometry, a),
             scrambledLpns_.count(lpn) > 0});
+    }
     // Deterministic image (unordered_map iteration order is not).
     std::sort(img.map.begin(), img.map.end(),
               [](const CheckpointImage::Entry &x,
@@ -240,6 +251,9 @@ Ftl::checkpoint(std::vector<PhysOp> &ops)
         }
     }
     std::sort(img.scanBlocks.begin(), img.scanBlocks.end());
+    img.scanBlocks.erase(
+        std::unique(img.scanBlocks.begin(), img.scanBlocks.end()),
+        img.scanBlocks.end());
 
     // Serialized size -> log pages: 32 B header + 17 B per map entry
     // (lpn, linear index, flags) + 8 B per block id.
@@ -424,10 +438,13 @@ Ftl::recover(std::vector<PhysOp> &ops)
     // Phase 3: arbitration — newest durable statement about each LPN
     // wins; physical candidates must still check out on flash (valid,
     // untorn, OOB agrees), else the next-newest is consulted.
+    // Internal LPNs (ParaBit scratch copies) are never mapped back:
+    // their op died with the power, so phase 4 invalidates their pages.
     std::vector<Lpn> lpns;
     lpns.reserve(cands.size());
     for (const auto &[lpn, list] : cands)
-        lpns.push_back(lpn);
+        if (!isInternal(lpn))
+            lpns.push_back(lpn);
     std::sort(lpns.begin(), lpns.end());
     for (Lpn lpn : lpns) {
         std::vector<Cand> &list = cands[lpn];

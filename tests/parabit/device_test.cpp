@@ -132,6 +132,43 @@ TEST(ParaBitDevice, UnmappedOperandIsDataLoss)
     EXPECT_EQ(ok.pages.at(0), ~x[0]);
 }
 
+TEST(ParaBitDevice, ResultWriteBackPastHostCapacityIsRefused)
+{
+    // A result range reaching an internal LPN is refused before anything
+    // runs; one ending at the top host LPN is written back.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    const nvme::Lpn cap = dev.ssd().ftl().logicalPages();
+    const auto x = pages(dev.ssd().config(), 2, 51);
+    const auto y = pages(dev.ssd().config(), 2, 52);
+    dev.writeData(0, x);
+    dev.writeData(10, y);
+    const ExecResult out = dev.bitwiseChain(flash::BitwiseOp::kAnd, {0, 10},
+                                            2, Mode::kReAllocate, true,
+                                            cap - 1);
+    EXPECT_EQ(out.status, ExecStatus::kLbaOutOfRange);
+    EXPECT_TRUE(out.pages.empty());
+    EXPECT_EQ(out.stats.senseOps, 0u);
+    EXPECT_FALSE(dev.ssd().ftl().lookup(cap - 1).has_value());
+
+    const ExecResult in = dev.bitwiseChain(flash::BitwiseOp::kAnd, {0, 10},
+                                           2, Mode::kReAllocate, true,
+                                           cap - 2);
+    ASSERT_EQ(in.status, ExecStatus::kOk);
+    EXPECT_EQ(dev.readData(cap - 2, 2),
+              (std::vector<BitVector>{x[0] & y[0], x[1] & y[1]}));
+}
+
+TEST(ParaBitDeviceDeath, PlacementPastHostCapacityDies)
+{
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    const nvme::Lpn cap = dev.ssd().ftl().logicalPages();
+    const auto d = pages(dev.ssd().config(), 2, 53);
+    EXPECT_DEATH(dev.writeDataLsbOnly(cap - 1, d), "host capacity");
+    EXPECT_DEATH(dev.writeOperandPair(0, cap, {d[0]}, {d[1]}),
+                 "host capacity");
+    EXPECT_DEATH(dev.writeMetaOperandPair(cap, 0, 1), "host capacity");
+}
+
 TEST(ParaBitDevice, ExecuteRunsParsedBatches)
 {
     ParaBitDevice dev(ssd::SsdConfig::tiny());

@@ -9,6 +9,8 @@
 #include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "parabit/host_interface.hpp"
+#include "ssd/health.hpp"
+#include "ssd/rain.hpp"
 
 namespace parabit::core {
 namespace {
@@ -313,6 +315,140 @@ TEST(HostInterface, FormulaOverUnmappedLpnCompletesLikeARead)
         ASSERT_EQ(ok->pages.size(), 1u);
         EXPECT_EQ(ok->pages[0], x[0] ^ x[1]);
     }
+}
+
+TEST(HostInterface, LbaPastHostCapacityCompletesOutOfRange)
+{
+    // The LPNs above host capacity belong to the controller's scratch
+    // copies: a read, write or formula naming one is refused with an
+    // NVMe status, charges no health, and the device keeps serving.
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.health.enabled = true;
+    ParaBitDevice dev(cfg);
+    const nvme::Lpn cap = dev.ssd().ftl().logicalPages();
+    const auto x = pages(cfg, 2, 41);
+    dev.writeData(0, x);
+
+    HostInterface host(dev, 1, 32, Mode::kReAllocate);
+    ASSERT_TRUE(host.submitRead(0, cap));
+    ASSERT_TRUE(host.submitWrite(0, cap));
+    ASSERT_TRUE(host.submitWrite(0, cap - 1)); // the top host LPN is fine
+    nvme::Formula second; // second operand range crosses capacity
+    second.terms.push_back(nvme::Formula::Term{
+        nvme::OperandRef::logical(0, 2), nvme::OperandRef::logical(cap - 1, 2),
+        flash::BitwiseOp::kAnd});
+    ASSERT_TRUE(host.submitFormula(0, second));
+    nvme::Formula first; // first operand starts past capacity
+    first.terms.push_back(nvme::Formula::Term{
+        nvme::OperandRef::logical(cap, 2), nvme::OperandRef::logical(0, 2),
+        flash::BitwiseOp::kOr});
+    ASSERT_TRUE(host.submitFormula(0, first));
+    host.pump();
+
+    const std::uint16_t want[] = {nvme::kLbaOutOfRange, nvme::kLbaOutOfRange,
+                                  nvme::kSuccess, nvme::kLbaOutOfRange,
+                                  nvme::kLbaOutOfRange};
+    for (const std::uint16_t status : want) {
+        const auto c = host.reap(0);
+        ASSERT_TRUE(c);
+        EXPECT_EQ(c->status, status) << nvme::statusName(c->status);
+        EXPECT_TRUE(c->pages.empty());
+    }
+    EXPECT_FALSE(dev.ssd().ftl().lookup(cap).has_value());
+    EXPECT_EQ(dev.ssd().health()->pressure(), 0.0);
+    EXPECT_EQ(dev.ssd().health()->state(), ssd::HealthState::kHealthy);
+
+    nvme::Formula ok;
+    ok.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(0, 1),
+                                           nvme::OperandRef::logical(1, 1),
+                                           flash::BitwiseOp::kXor});
+    ASSERT_TRUE(host.submitFormula(0, ok));
+    host.pump();
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_TRUE(c->ok());
+    ASSERT_EQ(c->pages.size(), 1u);
+    EXPECT_EQ(c->pages[0], x[0] ^ x[1]);
+}
+
+/** tiny + RAIN + health, with a scrub too slow to repair anything in
+ *  the background before the reads below. */
+ssd::SsdConfig
+rainHealthConfig()
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.media.enabled = true;
+    cfg.media.scrubInterval = ticks::fromMs(1000);
+    cfg.rain.enabled = true;
+    cfg.health.enabled = true;
+    return cfg;
+}
+
+ssd::PlaneIndex
+planeOf(ParaBitDevice &dev, nvme::Lpn lpn)
+{
+    const auto a = dev.ssd().ftl().lookup(lpn);
+    EXPECT_TRUE(a.has_value());
+    return ssd::planeIndex(dev.ssd().geometry(),
+                           {a->channel, a->chip, a->die, a->plane});
+}
+
+TEST(HostInterface, DeadPlaneReadIsRebuiltFromRainParity)
+{
+    // A plain read of a mapped page on a dead die is repaired from RAIN
+    // parity, as a formula operand is: it completes clean, and health
+    // takes the rebuild's charge but not an uncorrectable page's.
+    ParaBitDevice dev(rainHealthConfig());
+    const auto x = pages(dev.ssd().config(), 8, 43);
+    dev.writeData(0, x);
+    ssd::FaultSpec die;
+    die.cls = ssd::FaultClass::kDieFail;
+    die.plane = planeOf(dev, 3);
+    dev.ssd().injectFault(die);
+    ASSERT_FALSE(dev.ssd().ftl().pageAccessible(3));
+
+    HostInterface host(dev, 1, 32);
+    const double before = dev.ssd().health()->pressure();
+    ASSERT_TRUE(host.submitRead(0, 3));
+    EXPECT_EQ(host.pump(), 1u);
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->status, nvme::kSuccess);
+    EXPECT_TRUE(dev.ssd().ftl().pageAccessible(3));
+    EXPECT_EQ(dev.readData(3, 1).at(0), x[3]);
+    EXPECT_LT(dev.ssd().health()->pressure() - before,
+              ssd::DeviceHealth::kWeightUncorrectable);
+}
+
+TEST(HostInterface, DeadPlaneReadChargesHealthOnlyWhenRebuildFails)
+{
+    // Both dies of a channel dead: the stripe has no survivor, the read
+    // is a media error, and only then is health charged for it.
+    ParaBitDevice dev(rainHealthConfig());
+    dev.writeData(0, pages(dev.ssd().config(), 64, 44));
+    for (const ssd::PlaneIndex p : {0u, 2u}) {
+        ssd::FaultSpec die;
+        die.cls = ssd::FaultClass::kDieFail;
+        die.plane = p;
+        dev.ssd().injectFault(die);
+    }
+    std::optional<nvme::Lpn> lost;
+    for (nvme::Lpn l = 0; l < 64 && !lost; ++l) {
+        const auto a = dev.ssd().ftl().lookup(l);
+        if (!dev.ssd().planeAlive(*a) && !dev.ssd().rain()->rebuildPage(*a))
+            lost = l;
+    }
+    ASSERT_TRUE(lost.has_value());
+
+    HostInterface host(dev, 1, 32);
+    const double before = dev.ssd().health()->pressure();
+    ASSERT_TRUE(host.submitRead(0, *lost));
+    EXPECT_EQ(host.pump(), 1u);
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->status, nvme::kUnrecoveredReadError);
+    EXPECT_GE(dev.ssd().health()->pressure() - before,
+              ssd::DeviceHealth::kWeightUncorrectable);
 }
 
 TEST(HostInterface, TimeoutAbortsThenRequeuedAttemptCompletes)

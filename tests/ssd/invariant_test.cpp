@@ -104,6 +104,69 @@ TEST(Invariants, FtlMapCorruptionFiresBijectionId)
     EXPECT_TRUE(r.has("ftl.map.bijection")) << r.describe();
 }
 
+TEST(Invariants, HostTaggedInternalPageFiresHostIsolationId)
+{
+    SsdConfig cfg = auditedConfig();
+    cfg.invariants.auditInterval = 0;
+    SsdDevice dev(cfg);
+    mixedWorkload(dev, seededPages(cfg, 16, 0x150));
+    // A ParaBit copy on internal LPNs is what the range is for...
+    const Lpn internal = dev.ftl().logicalPages();
+    const auto pair = seededPages(cfg, 2, 0x151);
+    std::vector<PhysOp> ops;
+    ASSERT_TRUE(dev.ftl().writePair(internal, internal + 1, &pair[0],
+                                    &pair[1], ops));
+    InvariantReport clean;
+    ASSERT_TRUE(dev.invariantRegistry().runSuite("ftl", clean));
+    EXPECT_TRUE(clean.ok()) << clean.describe();
+    // ...host data there is internal machinery leaking into host space.
+    ASSERT_TRUE(dev.ftl().debugWriteHostTagged(internal + 2));
+    InvariantReport r;
+    ASSERT_TRUE(dev.invariantRegistry().runSuite("ftl", r));
+    EXPECT_TRUE(r.has("ftl.host_isolation")) << r.describe();
+    EXPECT_FALSE(r.has("ftl.map.bijection")) << r.describe();
+    EXPECT_FALSE(r.has("ftl.map.oob")) << r.describe();
+}
+
+TEST(Invariants, GcMovesAnInternalCopyWithItsParabitTag)
+{
+    // A live scratch copy whose block GC collects keeps its ParaBit tag
+    // at the new location; a kGcRelocated tag there would make it look
+    // like host data.
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.invariants.auditInterval = 0;
+    SsdDevice dev(cfg);
+    Ftl &ftl = dev.ftl();
+    const Lpn internal = ftl.logicalPages();
+    std::vector<PhysOp> ops;
+    ASSERT_TRUE(ftl.writePair(internal, internal + 1, nullptr, nullptr, ops,
+                              0));
+    const flash::PhysPageAddr before = *ftl.lookup(internal);
+    // Fill the rest of its block with host pairs, then trim them: the
+    // copy is the block's only valid data, so it is GC's first victim.
+    Lpn next = 0;
+    for (std::uint32_t wl = 1; wl < cfg.geometry.wordlinesPerBlock; ++wl) {
+        ASSERT_TRUE(ftl.writePair(next, next + 1, nullptr, nullptr, ops, 0));
+        next += 2;
+    }
+    for (Lpn l = 0; l < next; ++l)
+        ASSERT_TRUE(ftl.trim(l));
+    while (ftl.gcRuns() == 0 && next < ftl.logicalPages() - 1) {
+        ASSERT_TRUE(ftl.writePair(next, next + 1, nullptr, nullptr, ops, 0));
+        next += 2;
+    }
+    const auto after = ftl.lookup(internal);
+    ASSERT_TRUE(after.has_value());
+    ASSERT_NE(after->block, before.block) << "GC should have moved it";
+    const flash::ChipPageAddr ca{after->die, after->plane, after->block,
+                                 after->wordline, after->msb};
+    EXPECT_EQ(dev.chipAt(after->channel, after->chip).pageOob(ca)->tag,
+              static_cast<std::uint8_t>(OobTag::kParabitPair));
+    InvariantReport r;
+    ASSERT_TRUE(dev.invariantRegistry().runSuite("ftl", r));
+    EXPECT_TRUE(r.ok()) << r.describe();
+}
+
 TEST(Invariants, SchedBookingCorruptionFiresExclusivityId)
 {
     SsdConfig cfg = auditedConfig();

@@ -381,6 +381,45 @@ TEST(Recovery, CompletedMsbDropSurvivesALaterCut)
     EXPECT_EQ(dev.ftl().readPage(41, r), db);
 }
 
+TEST(Recovery, InternalCopyInAFullBlockIsDroppedByRecovery)
+{
+    // A ParaBit scratch copy on internal LPNs, live when a checkpoint is
+    // taken after its block filled up: the image leaves it out, and
+    // recovery must still find and drop it rather than leave it valid
+    // and unmapped for GC to carry around forever.
+    SsdDevice dev(recCfg());
+    const std::size_t bits = dev.geometry().pageBits();
+    const Lpn internal = dev.ftl().logicalPages();
+    const BitVector d = pattern(bits, 7);
+    std::vector<PhysOp> ops;
+    const auto copy =
+        dev.ftl().writePair(internal, internal + 1, &d, &d, ops, 0);
+    ASSERT_TRUE(copy.has_value());
+    std::map<Lpn, BitVector> acked;
+    for (Lpn l = 0; l < 2 * dev.geometry().wordlinesPerBlock; l += 2) {
+        acked[l] = pattern(bits, l);
+        acked[l + 1] = pattern(bits, l + 1);
+        ASSERT_TRUE(dev.ftl().writePair(l, l + 1, &acked[l], &acked[l + 1],
+                                        ops, 0));
+    }
+    ASSERT_TRUE(dev.ftl().checkpoint(ops));
+    dev.injectFault(powerCut(0));
+    writeUntilCut(dev, 500, acked);
+
+    dev.powerCycle();
+    EXPECT_FALSE(dev.ftl().lookup(internal).has_value());
+    EXPECT_FALSE(dev.ftl().lookup(internal + 1).has_value());
+    for (const flash::PhysPageAddr &a : {copy->lsb, copy->msb}) {
+        const flash::ChipPageAddr ca{a.die, a.plane, a.block, a.wordline,
+                                     a.msb};
+        EXPECT_NE(dev.chipAt(a.channel, a.chip).pageState(ca),
+                  flash::PageState::kValid);
+    }
+    std::vector<PhysOp> r;
+    for (const auto &[lpn, data] : acked)
+        EXPECT_EQ(dev.ftl().readPage(lpn, r), data) << "lpn " << lpn;
+}
+
 TEST(Recovery, DisabledRecoveryLosesMappingButDeviceStaysUsable)
 {
     SsdConfig c = recCfg();
