@@ -22,9 +22,11 @@
  * accidentally quadratic queue scan), not 10% noise.
  *
  * Observability: --metrics-out/--trace-out/--snapshots-out (see
- * bench/common/obs_args.hpp).  The trace produced here carries the
- * NVMe command flow events and is what CI feeds to parabit-trace for
- * flow-linkage validation.
+ * bench/common/obs_args.hpp); the JSON config block records which of
+ * them ran.  Gate an untraced run against an untraced baseline: the
+ * outputs slow the simulator down.  The trace produced here carries
+ * the NVMe command flow events and is what CI feeds to parabit-trace
+ * for flow-linkage validation.
  *
  * This bench reads std::chrono::steady_clock directly — benches are
  * exempt from the parabit-lint wall-clock rule; nothing here feeds
@@ -198,8 +200,9 @@ baselineEventsPerSec(const std::string &text)
 }
 
 void
-writeJson(const std::string &path, int rounds, const RunOut &r,
-          double events_per_sec, double cmds_per_sec, std::size_t rss)
+writeJson(const std::string &path, int rounds, const bench::ObsOptions &obs,
+          const RunOut &r, double events_per_sec, double cmds_per_sec,
+          std::size_t rss)
 {
     json::Writer w;
     w.beginObject();
@@ -211,6 +214,11 @@ writeJson(const std::string &path, int rounds, const RunOut &r,
     w.field("queues", kQueues);
     w.field("depth", kDepth);
     w.field("page_seed", kPageSeed);
+    // Which observability outputs ran: a traced run is ~2x slower, so
+    // only runs with equal flags compare.
+    w.field("metrics_out", !obs.metricsOut.empty());
+    w.field("trace_out", obs.traceWanted());
+    w.field("snapshots_out", obs.snapshotsWanted());
     w.endObject();
     w.field("events", r.events);
     w.field("commands", r.commands);
@@ -304,7 +312,8 @@ main(int argc, char **argv)
                 "loop, NVMe encode/decode, bitvector math)");
 
     if (!json_path.empty())
-        writeJson(json_path, rounds, r, events_per_sec, cmds_per_sec, rss);
+        writeJson(json_path, rounds, obs, r, events_per_sec, cmds_per_sec,
+                  rss);
 
     int rc = 0;
     if (!baseline_path.empty()) {

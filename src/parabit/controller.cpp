@@ -649,11 +649,12 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     const bool functional = ssd_->config().storeData;
     const std::uint64_t retired_before = ssd_->ftl().retiredBlocks();
 
-    // Per-batch results: the data pages (functional mode) and, for
-    // chain continuations, the logical scratch homes if programmed.
+    // Per-batch results: the data pages (functional mode) and each
+    // page's status, which a chain continuation inherits.
     struct BatchOut
     {
         std::vector<BitVector> pages;
+        std::vector<ExecStatus> status;
         Tick done = 0;
     };
     std::vector<BatchOut> outs(batches.size());
@@ -667,12 +668,11 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         // batch's result (kept in the controller buffer, paper Fig 12).
         const bool x_from_result =
             b.firstOperand.kind == nvme::OperandRef::Kind::kBatchResult;
-        const std::vector<BitVector> *x_pages = nullptr;
+        const BatchOut *prev = nullptr;
         Tick ready = at;
         if (x_from_result) {
-            const BatchOut &prev = outs.at(b.firstOperand.batchId);
-            x_pages = &prev.pages;
-            ready = std::max(ready, prev.done);
+            prev = &outs.at(b.firstOperand.batchId);
+            ready = std::max(ready, prev->done);
         }
         if (b.secondOperand.kind == nvme::OperandRef::Kind::kBatchResult)
             fatal("ParaBit: second operand must be a logical range");
@@ -682,16 +682,24 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
             const nvme::SubOperation &sub = b.subOps[p];
             std::optional<nvme::Lpn> x_lpn;
             const BitVector *x_buf = nullptr;
-            if (x_from_result) {
-                if (functional)
-                    x_buf = &x_pages->at(p);
-            } else {
+            if (!x_from_result) {
                 x_lpn = sub.first.lpn;
+            } else if (prev->status.at(p) != ExecStatus::kOk) {
+                // The step's input page failed: there is nothing to
+                // compute on, so the page ends with the input's status.
+                bo.done = std::max(bo.done, ready);
+                bo.status.push_back(prev->status[p]);
+                if (functional)
+                    bo.pages.emplace_back();
+                continue;
+            } else if (functional) {
+                x_buf = &prev->pages.at(p);
             }
             SenseOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
                                            sub.second.lpn, mode, ready, xfer,
                                            res.stats);
             bo.done = std::max(bo.done, o.done);
+            bo.status.push_back(o.status);
             res.status = std::max(res.status, o.status);
             if (functional)
                 bo.pages.push_back(o.data ? std::move(*o.data) : BitVector());
@@ -703,10 +711,9 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         BatchOut &last = outs.back();
         if (result_lpn) {
             std::vector<ssd::PhysOp> ops;
-            for (std::size_t p = 0; p < last.pages.size() ||
-                                    (!functional &&
-                                     p < batches.back().subOps.size());
-                 ++p) {
+            for (std::size_t p = 0; p < last.status.size(); ++p) {
+                if (last.status[p] != ExecStatus::kOk)
+                    continue; // a failed page is never written back
                 const BitVector *d =
                     functional ? &last.pages.at(p) : nullptr;
                 if (!ssd_->ftl().writePage(*result_lpn + p, d, ops)) {

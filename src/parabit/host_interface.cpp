@@ -103,18 +103,6 @@ inHostRange(const std::vector<nvme::Batch> &batches, nvme::Lpn capacity)
     return true;
 }
 
-/** Host-visible command name for trace spans. */
-const char *
-cmdName(nvme::Opcode op)
-{
-    switch (op) {
-      case nvme::Opcode::kFlush: return "flush";
-      case nvme::Opcode::kWrite: return "write";
-      case nvme::Opcode::kRead: return "read";
-    }
-    return "?";
-}
-
 OpClass
 opClassOf(nvme::Opcode op)
 {
@@ -333,8 +321,7 @@ HostInterface::submitFormula(std::uint16_t qid, const nvme::Formula &formula)
             panic("HostInterface: ring filled mid-formula");
         last_cid = *cid;
     }
-    tickets_.at(qid).push_back(
-        FormulaTicket{qid, last_cid, cmds.size()});
+    tickets_.at(qid).push_back(FormulaTicket{last_cid, cmds.size()});
     return last_cid;
 }
 
@@ -361,6 +348,81 @@ HostInterface::reap(std::uint16_t qid)
     return out;
 }
 
+bool
+HostInterface::retire(InFlight &c)
+{
+    if (c.token) {
+        // Flush books nothing on the scheduler: only total and SQ wait
+        // are meaningful for it.  The flow start is emitted here rather
+        // than at submission — buffered events carry explicit
+        // timestamps, so ordering in the buffer is irrelevant.
+        const bool booked = c.cls == OpClass::kFormula || !c.group.empty();
+        const ssd::sched::StageTicks stages =
+            dev_->ssd().scheduler().takeCommandStages(*c.token);
+        recordStages(c.cls, c.f.submittedAt, c.started, c.done,
+                     booked ? &stages : nullptr);
+        if (booked) {
+            noteFlowStart(c.qid, *c.token, c.f.submittedAt);
+            noteFlowEnd(c.qid, *c.token, c.done);
+        }
+    }
+
+    auto &attempts = attempts_[c.qid];
+    std::uint32_t attempt = 0;
+    if (const auto it = attempts.find(c.f.cid); it != attempts.end()) {
+        attempt = it->second;
+        attempts.erase(it);
+    }
+    // The host's watchdog fires before the device would finish: abort
+    // at the deadline and re-issue the command after the backoff, until
+    // the retry budget runs out.
+    const Tick deadline = c.f.submittedAt + retry_.commandTimeout;
+    const bool abort = c.watched && retry_.commandTimeout > 0 &&
+                       attempt < retry_.maxRequeues && c.done > deadline;
+    Tick end = c.done;
+    std::uint16_t status = c.status;
+    if (abort) {
+        ++timeouts_;
+        end = deadline;
+        status = nvme::kCommandAborted;
+    } else if (!c.pages.empty()) {
+        QueuedCompletion qc;
+        qc.qid = c.qid;
+        qc.cid = c.f.cid;
+        qc.status = status;
+        qc.pages = std::move(c.pages);
+        results_[c.qid].push_back(std::move(qc));
+    }
+    qps_[c.qid].complete(c.f.cid, c.f.submittedAt, end, status);
+    noteCmdSpan(c.qid, opClassName(c.cls), c.f.submittedAt, end, status);
+    if (c.watched)
+        noteSlo(c.cls, end - c.f.submittedAt, end);
+    if (!abort) {
+        if (ssd::DeviceHealth *health = dev_->ssd().health();
+            health && c.mediaError)
+            health->noteUncorrectable();
+        return false;
+    }
+
+    // A formula re-submits its whole group under a fresh ticket.
+    const Tick at = c.done + requeueDelay(attempt + 1);
+    const bool formula = !c.cmds.empty();
+    const nvme::NvmeCommand *cmds = formula ? c.cmds.data() : &c.f.cmd;
+    const std::size_t n = formula ? c.cmds.size() : 1;
+    std::uint16_t last = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto cid = qps_[c.qid].submit(cmds[i], at);
+        if (!cid)
+            panic("HostInterface: ring full on requeue");
+        last = *cid;
+    }
+    if (formula)
+        tickets_[c.qid].push_back(FormulaTicket{last, n});
+    attempts.emplace(last, attempt + 1);
+    ++requeues_;
+    return true;
+}
+
 std::size_t
 HostInterface::pump()
 {
@@ -370,100 +432,33 @@ HostInterface::pump()
         nvme::QueuePair::Fetched f;
     };
 
-    // Plain reads/writes are not executed inline: their FTL ops are
-    // submitted to the device's transaction scheduler as they are
-    // fetched (in arbitration order) and the batch is drained at the
-    // next boundary — a formula execution, a Flush, or the end of the
-    // round.  Under FCFS this is tick-identical to inline execution
-    // (the device clock does not advance while commands accumulate and
-    // per-resource booking order equals submission order); under the
-    // reordering policies it is what gives the arbiter a window of
-    // co-pending host transactions to work with.
-    struct DeferredPlain
-    {
-        std::uint16_t qid;
-        nvme::QueuePair::Fetched f;
-        ssd::sched::TxGroup group;
-        std::uint16_t status;
-        Tick submittedNow; ///< device clock at submission (fallback)
-        /** Attribution token bracketing this command's scheduler
-         *  submissions (set only while metrics/tracing are on). */
-        std::optional<std::uint64_t> token = std::nullopt;
-        /** A read of a mapped page on a dead plane that RAIN could not
-         *  rebuild: a media error that charges health (an unwritten LPN
-         *  is the host's business). */
-        bool mediaError = false;
-    };
-    std::vector<DeferredPlain> deferred;
-
     std::size_t retired = 0;
     bool more = true;
     ssd::DeviceHealth *health = dev_->ssd().health();
 
-    // Drain the scheduler and complete every deferred command.  Must
-    // run before anything that opens a new scheduler batch (formula
-    // execution, Flush) — the batch's completion map is discarded at
-    // the next submit.
-    const auto flushDeferred = [&] {
-        if (deferred.empty())
+    // Plain reads/writes are not executed inline: their FTL ops are
+    // submitted to the device's transaction scheduler as they are
+    // fetched (in arbitration order) and the batch is drained at the
+    // next boundary — a formula execution, a Flush, a RAIN repair, or
+    // the end of the round.  Under FCFS this is tick-identical to
+    // inline execution (the device clock does not advance while
+    // commands accumulate and per-resource booking order equals
+    // submission order); under the reordering policies it is what gives
+    // the arbiter a window of co-pending host transactions to work
+    // with.  Must run before anything that opens a new scheduler batch
+    // — the batch's completion map is discarded at the next submit.
+    const auto retireBatch = [&] {
+        if (batch_.empty())
             return;
         dev_->ssd().drainTransactions();
-        for (DeferredPlain &d : deferred) {
-            const Tick done =
-                dev_->ssd().groupCompletion(d.group, d.submittedNow);
-            const OpClass cls = opClassOf(d.f.cmd.opcode());
-            if (d.token) {
-                const ssd::sched::StageTicks stages =
-                    dev_->ssd().scheduler().takeCommandStages(*d.token);
-                // Flush never touches the scheduler: only total and
-                // SQ-wait are meaningful for it.  The flow start is
-                // emitted here rather than at submission — buffered
-                // events carry explicit timestamps, so ordering in the
-                // buffer is irrelevant.
-                recordStages(cls, d.f.submittedAt, d.submittedNow, done,
-                             d.group.empty() ? nullptr : &stages);
-                if (!d.group.empty()) {
-                    noteFlowStart(d.qid, *d.token, d.f.submittedAt);
-                    noteFlowEnd(d.qid, *d.token, done);
-                }
-            }
-            auto &attempts = attempts_.at(d.qid);
-            std::uint32_t attempt = 0;
-            if (const auto it = attempts.find(d.f.cid);
-                it != attempts.end()) {
-                attempt = it->second;
-                attempts.erase(it);
-            }
-            const Tick deadline = d.f.submittedAt + retry_.commandTimeout;
-            if (retry_.commandTimeout > 0 && attempt < retry_.maxRequeues &&
-                done > deadline) {
-                ++timeouts_;
-                qps_[d.qid].complete(d.f.cid, d.f.submittedAt, deadline,
-                                     nvme::kCommandAborted);
-                noteCmdSpan(d.qid, cmdName(d.f.cmd.opcode()),
-                            d.f.submittedAt, deadline,
-                            nvme::kCommandAborted);
-                noteSlo(cls, deadline - d.f.submittedAt, deadline);
-                const auto cid = qps_[d.qid].submit(
-                    d.f.cmd, done + requeueDelay(attempt + 1));
-                if (!cid)
-                    panic("HostInterface: ring full on requeue");
-                attempts.emplace(*cid, attempt + 1);
-                ++requeues_;
-                more = true;
-                ++retired;
-                continue;
-            }
-            qps_[d.qid].complete(d.f.cid, d.f.submittedAt, done, d.status);
-            noteCmdSpan(d.qid, cmdName(d.f.cmd.opcode()), d.f.submittedAt,
-                        done, d.status);
-            noteSlo(cls, done - d.f.submittedAt, done);
-            if (health && d.mediaError)
-                health->noteUncorrectable();
+        for (InFlight &c : batch_) {
+            c.done = dev_->ssd().groupCompletion(c.group, c.started);
+            more |= retire(c);
             ++retired;
         }
-        deferred.clear();
+        batch_.clear();
     };
+    std::vector<ssd::PhysOp> ops;
 
     while (more) {
         more = false;
@@ -482,162 +477,101 @@ HostInterface::pump()
             }
         }
 
-        // Execute in arbitration order.  ParaBit command groups are
-        // re-assembled per queue using the formula tickets.
+        // Decide every command in arbitration order.  ParaBit command
+        // groups are re-assembled per queue using the formula tickets.
         std::vector<std::vector<nvme::NvmeCommand>> groups(queues());
         for (auto &p : order) {
-            const auto op = p.f.cmd.opcode();
             auto &ticketq = tickets_.at(p.qid);
             const bool in_formula =
                 !ticketq.empty() &&
                 (p.f.cmd.hasPartner() || p.f.cmd.operandTag() ||
                  !groups[p.qid].empty());
+            InFlight c;
+            c.qid = p.qid;
+            c.f = std::move(p.f);
+            // A backed-off requeue carries a submission time past the
+            // device clock; never execute (or complete) it earlier.
+            c.started = std::max(dev_->now(), c.f.submittedAt);
+
             if (in_formula) {
-                groups[p.qid].push_back(p.f.cmd);
-                if (groups[p.qid].size() == ticketq.front().cmdCount) {
-                    // Formula complete: parse and execute.
-                    const FormulaTicket t = ticketq.front();
-                    ticketq.pop_front();
-                    std::vector<nvme::NvmeCommand> group =
-                        std::move(groups[p.qid]);
-                    groups[p.qid].clear();
-                    const auto batches = parser_.parse(group);
-                    flushDeferred();
-                    if (!inHostRange(batches,
-                                     dev_->ssd().ftl().logicalPages())) {
-                        // An operand past host capacity: the command is
-                        // malformed, whatever the device's health.
-                        const Tick at =
-                            std::max(dev_->now(), p.f.submittedAt);
-                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                             at, nvme::kLbaOutOfRange);
-                        noteCmdSpan(p.qid, "formula", p.f.submittedAt, at,
-                                    nvme::kLbaOutOfRange);
-                        ++retired;
-                        continue;
-                    }
-                    if (health && !health->admitFormula()) {
-                        // A degraded device sheds computation before it
-                        // executes — formulas are deferrable work the
-                        // host can route elsewhere; plain I/O keeps
-                        // flowing.  A failed device cannot vouch for
-                        // anything and reports an internal error.
-                        const std::uint16_t status =
-                            health->admitRead() ? nvme::kAdmissionShed
-                                                : nvme::kInternalError;
-                        if (status == nvme::kAdmissionShed)
-                            ++sheds_;
-                        const Tick at =
-                            std::max(dev_->now(), p.f.submittedAt);
-                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                             at, status);
-                        noteCmdSpan(p.qid, "formula", p.f.submittedAt, at,
-                                    status);
-                        ++retired;
-                        continue;
-                    }
-                    const Tick started =
-                        std::max(dev_->now(), p.f.submittedAt);
-                    const auto token = beginAttribution();
+                groups[c.qid].push_back(c.f.cmd);
+                if (groups[c.qid].size() < ticketq.front().cmdCount)
+                    continue;
+                // Formula complete: parse, then execute or refuse it.
+                c.f.cid = ticketq.front().finalCid;
+                ticketq.pop_front();
+                c.cls = OpClass::kFormula;
+                c.cmds = std::move(groups[c.qid]);
+                groups[c.qid].clear();
+                const auto batches = parser_.parse(c.cmds);
+                retireBatch();
+                c.started = std::max(dev_->now(), c.f.submittedAt);
+                c.done = c.started;
+                if (!inHostRange(batches, dev_->ssd().ftl().logicalPages())) {
+                    // An operand past host capacity: the command is
+                    // malformed, whatever the device's health.
+                    c.status = nvme::kLbaOutOfRange;
+                    c.watched = false;
+                } else if (health && !health->admitFormula()) {
+                    // A degraded device sheds computation before it
+                    // executes — formulas are deferrable work the host
+                    // can route elsewhere; plain I/O keeps flowing.  A
+                    // failed device cannot vouch for anything and
+                    // reports an internal error.
+                    c.status = health->admitRead() ? nvme::kAdmissionShed
+                                                   : nvme::kInternalError;
+                    if (c.status == nvme::kAdmissionShed)
+                        ++sheds_;
+                    c.watched = false;
+                } else {
+                    c.token = beginAttribution();
                     ExecResult r = dev_->controller().executeBatches(
-                        batches, mode_, started);
-                    endAttribution(token);
-                    if (token) {
-                        const ssd::sched::StageTicks stages =
-                            dev_->ssd().scheduler().takeCommandStages(
-                                *token);
-                        recordStages(OpClass::kFormula, p.f.submittedAt,
-                                     started, r.stats.end, &stages);
-                        noteFlowStart(p.qid, *token, p.f.submittedAt);
-                        noteFlowEnd(p.qid, *token, r.stats.end);
-                    }
-                    const Tick deadline =
-                        p.f.submittedAt + retry_.commandTimeout;
-                    if (retry_.commandTimeout > 0 &&
-                        t.attempts < retry_.maxRequeues &&
-                        r.stats.end > deadline) {
-                        // The host's watchdog fires before the device
-                        // would finish: abort at the deadline and
-                        // re-issue the whole formula after the backoff,
-                        // until the retry budget runs out.
-                        ++timeouts_;
-                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                             deadline,
-                                             nvme::kCommandAborted);
-                        noteCmdSpan(p.qid, "formula", p.f.submittedAt,
-                                    deadline, nvme::kCommandAborted);
-                        noteSlo(OpClass::kFormula,
-                                deadline - p.f.submittedAt, deadline);
-                        const Tick at =
-                            r.stats.end + requeueDelay(t.attempts + 1);
-                        std::uint16_t last = 0;
-                        for (const auto &c : group) {
-                            const auto cid = qps_[p.qid].submit(c, at);
-                            if (!cid)
-                                panic("HostInterface: ring full on requeue");
-                            last = *cid;
-                        }
-                        tickets_.at(p.qid).push_back(FormulaTicket{
-                            p.qid, last, group.size(), t.attempts + 1});
-                        ++requeues_;
-                        more = true;
-                        ++retired;
-                        continue;
-                    }
-                    const std::uint16_t status = toNvmeStatus(r.status);
-                    QueuedCompletion qc;
-                    qc.qid = p.qid;
-                    qc.cid = t.finalCid;
-                    qc.status = status;
-                    qc.pages = std::move(r.pages);
-                    results_.at(p.qid).push_back(std::move(qc));
-                    qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                         r.stats.end, status);
-                    noteCmdSpan(p.qid, "formula", p.f.submittedAt,
-                                r.stats.end, status);
-                    noteSlo(OpClass::kFormula,
-                            r.stats.end - p.f.submittedAt, r.stats.end);
-                    ++retired;
+                        batches, mode_, c.started);
+                    endAttribution(c.token);
+                    c.status = toNvmeStatus(r.status);
+                    c.done = r.stats.end;
+                    c.pages = std::move(r.pages);
                 }
+                more |= retire(c);
+                ++retired;
                 continue;
             }
 
-            // Plain I/O path.  An LPN past host capacity is refused
-            // before anything else looks at it.  Reads gate on page
+            // Plain I/O.  An LPN past host capacity is refused before
+            // anything else looks at it.  Reads gate on page
             // accessibility — a dead plane surfaces as a media error
             // unless RAIN can rebuild the page, not as silent data.
-            // A backed-off requeue carries a submission time past the
-            // device clock; never execute (or complete) it earlier than
-            // it was submitted.
+            c.cls = opClassOf(c.f.cmd.opcode());
             ssd::Ftl &ftl = dev_->ssd().ftl();
-            const nvme::Lpn lpn = p.f.cmd.slba() / parser_.sectorsPerPage();
-            const Tick ready = std::max(dev_->now(), p.f.submittedAt);
-            if (op == nvme::Opcode::kFlush) {
+            const nvme::Lpn lpn = c.f.cmd.slba() / parser_.sectorsPerPage();
+            if (c.cls == OpClass::kFlush) {
                 // Flush = force a checkpoint: every write completed
                 // before this command survives a subsequent power cut
                 // without journal/OOB replay.  Complete the pending
                 // batch first — the checkpoint orders after it.
-                flushDeferred();
-                std::uint16_t status = nvme::kSuccess;
+                retireBatch();
                 if (!dev_->flush())
-                    status = nvme::kInternalError;
-                DeferredPlain d{p.qid, std::move(p.f), {}, status,
-                                std::max(dev_->now(), ready)};
+                    c.status = nvme::kInternalError;
+                c.started = std::max(dev_->now(), c.started);
+                c.done = c.started;
                 if (attributionOn())
-                    d.token = nextCmdToken_++;
-                deferred.push_back(std::move(d));
-                flushDeferred(); // empty group: completes at dev_->now()
+                    c.token = nextCmdToken_++;
+                // The Flush completes as a batch of its own: its drain
+                // steps the health clock and the audit cadence.
+                dev_->ssd().drainTransactions();
+                more |= retire(c);
+                ++retired;
                 continue;
             }
-            DeferredPlain d{p.qid, std::move(p.f), {}, nvme::kSuccess,
-                            ready};
+            ops.clear();
+            bool to_flash = false; ///< the FTL took the command
             if (lpn >= ftl.logicalPages()) {
-                d.status = nvme::kLbaOutOfRange;
-            } else if (op == nvme::Opcode::kRead) {
+                c.status = nvme::kLbaOutOfRange;
+            } else if (c.cls == OpClass::kRead) {
                 if (health && !health->admitRead()) {
                     // Failed device: nothing it returns can be vouched
                     // for.  The completion still posts — reject loudly.
-                    d.status = nvme::kInternalError;
+                    c.status = nvme::kInternalError;
                 } else {
                     bool readable = ftl.pageAccessible(lpn);
                     if (!readable && ftl.lookup(lpn)) {
@@ -646,43 +580,40 @@ HostInterface::pump()
                         // formula operand.  The repair books its own
                         // batch, so the pending one completes first.
                         if (dev_->ssd().rain())
-                            flushDeferred();
-                        readable = dev_->ssd().repairPage(lpn, ready);
-                        d.mediaError = !readable;
+                            retireBatch();
+                        readable = dev_->ssd().repairPage(lpn, c.started);
+                        c.mediaError = !readable;
                     }
-                    if (!readable) {
-                        d.status = nvme::kUnrecoveredReadError;
-                    } else {
-                        std::vector<ssd::PhysOp> ops;
+                    to_flash = readable;
+                    if (readable)
                         ftl.readPage(lpn, ops);
-                        d.token = beginAttribution();
-                        d.group = dev_->ssd().submitOps(ops, ready);
-                        endAttribution(d.token);
-                    }
+                    else
+                        c.status = nvme::kUnrecoveredReadError;
                 }
             } else if (health && !health->admitWrite()) {
                 // Read-only device: refuse new data it might not be
                 // able to keep, with a status the host can tell apart
                 // from an execution failure.
-                d.status = health->state() == ssd::HealthState::kFailed
+                c.status = health->state() == ssd::HealthState::kFailed
                                ? nvme::kInternalError
                                : nvme::kWriteProtected;
-                if (d.status == nvme::kWriteProtected)
+                if (c.status == nvme::kWriteProtected)
                     ++writeRejects_;
             } else {
                 if (health)
                     health->noteAdmittedWrite();
-                std::vector<ssd::PhysOp> ops;
-                const bool wrote = ftl.writePage(lpn, nullptr, ops);
-                d.token = beginAttribution();
-                d.group = dev_->ssd().submitOps(ops, ready);
-                endAttribution(d.token);
-                if (!wrote)
-                    d.status = nvme::kInternalError;
+                to_flash = true;
+                if (!ftl.writePage(lpn, nullptr, ops))
+                    c.status = nvme::kInternalError;
             }
-            deferred.push_back(std::move(d));
+            if (to_flash) {
+                c.token = beginAttribution();
+                c.group = dev_->ssd().submitOps(ops, c.started);
+                endAttribution(c.token);
+            }
+            batch_.push_back(std::move(c));
         }
-        flushDeferred();
+        retireBatch();
     }
     return retired;
 }

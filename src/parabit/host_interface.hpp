@@ -168,16 +168,6 @@ class HostInterface
     }
     const RetryPolicy &retryPolicy() const { return retry_; }
 
-    /** Sugar: enable the watchdog at threshold @p t keeping the other
-     *  RetryPolicy fields at their historical defaults. */
-    void setCommandTimeout(Tick t)
-    {
-        RetryPolicy p = retry_;
-        p.commandTimeout = t;
-        setRetryPolicy(p);
-    }
-    Tick commandTimeout() const { return retry_.commandTimeout; }
-
     /**
      * Admission controller: cap the per-queue submission backlog at
      * @p limit entries (0, the default, disables).  A submission that
@@ -260,6 +250,47 @@ class HostInterface
     Tick requeueDelay(std::uint32_t attempt);
 
     /**
+     * One fetched command — a formula: its whole command group — from
+     * the moment pump() decides its fate to its completion.  Plain I/O
+     * waits in a scheduler batch for @c done; everything else knows it
+     * when the record is made.
+     */
+    struct InFlight
+    {
+        std::uint16_t qid = 0;
+        /** The command (a formula: its final one, whose cid completes
+         *  the group) with its submission time. */
+        nvme::QueuePair::Fetched f{};
+        OpClass cls = OpClass::kRead;
+        std::uint16_t status = nvme::kSuccess;
+        Tick started = 0; ///< device-side start: the end of the SQ wait
+        Tick done = 0;    ///< device-side completion
+        /** The plain command's queued scheduler transactions. */
+        ssd::sched::TxGroup group{};
+        /** Attribution token (set only while metrics/tracing are on). */
+        std::optional<std::uint64_t> token = std::nullopt;
+        /** The watchdog may abort it and its SLO tracker samples it;
+         *  false for a formula refused before execution. */
+        bool watched = true;
+        /** A read of a mapped page on a dead plane that RAIN could not
+         *  rebuild: a media error that charges health (an unwritten LPN
+         *  is the host's business). */
+        bool mediaError = false;
+        /** A formula's command group, re-submitted on a requeue. */
+        std::vector<nvme::NvmeCommand> cmds;
+        /** A formula's result pages, held for reap(). */
+        std::vector<BitVector> pages;
+    };
+
+    /**
+     * The one completion tail of pump(): latency stages and flow
+     * events, the watchdog (abort at the deadline and re-submit after
+     * the backoff), the CQ post, the async span, the SLO sample and the
+     * health charge.  @return true when @p c was aborted and requeued.
+     */
+    bool retire(InFlight &c);
+
+    /**
      * Admission-control gate shared by the submit paths: feeds queue
      * pressure into the health machine and, over the configured limit,
      * sheds the submission (@p cmds ring entries) with an immediate
@@ -273,10 +304,8 @@ class HostInterface
 
     struct FormulaTicket
     {
-        std::uint16_t qid;
         std::uint16_t finalCid;
         std::size_t cmdCount;
-        std::uint32_t attempts = 0; ///< aborted re-submissions so far
     };
 
     ParaBitDevice *dev_;
@@ -294,9 +323,12 @@ class HostInterface
     obs::Counter requeues_{"host.requeues"};
     obs::Counter sheds_{"host.sheds"};
     obs::Counter writeRejects_{"host.write_rejects"};
-    /** Re-submitted plain commands (per queue): cid -> aborted attempts
-     *  consumed; a cid absent from the map is on its first attempt. */
+    /** Re-submitted commands (per queue; a formula under its final
+     *  cid): cid -> aborted attempts consumed; a cid absent from the
+     *  map is on its first attempt. */
     std::vector<std::unordered_map<std::uint16_t, std::uint32_t>> attempts_;
+    /** pump()'s plain commands whose transactions await one drain. */
+    std::vector<InFlight> batch_;
     std::uint64_t nextCmdSpanId_ = 0; ///< async trace span ids
     std::uint64_t nextCmdToken_ = 0;  ///< attribution tokens / flow ids
     /** obs.latency.<class>.<stage>, kNumCmdStages per class. */

@@ -424,20 +424,6 @@ SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
     return g;
 }
 
-sched::TxGroup
-SsdDevice::submitArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
-{
-    sched::TxGroup g;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::uint64_t id =
-            sched_.submit(toTransaction(jobs[i], ready_at));
-        if (i == 0)
-            g.lo = id;
-        g.hi = id + 1;
-    }
-    return g;
-}
-
 Tick
 SsdDevice::scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at)
 {
@@ -449,7 +435,14 @@ SsdDevice::scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at)
 Tick
 SsdDevice::scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
 {
-    const sched::TxGroup g = submitArrayJobs(jobs, ready_at);
+    sched::TxGroup g;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t id =
+            sched_.submit(toTransaction(jobs[i], ready_at));
+        if (i == 0)
+            g.lo = id;
+        g.hi = id + 1;
+    }
     drainTransactions();
     return sched_.groupCompletion(g, ready_at);
 }

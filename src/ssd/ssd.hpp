@@ -17,10 +17,10 @@
  * Two calling styles: scheduleOps/scheduleArrayJobs book one
  * synchronous batch (submit, drain and completion in one call), which
  * is what every caller that has its whole batch in hand uses.
- * submitOps/submitArrayJobs + drainTransactions + groupCompletion are
- * for callers that accumulate a batch across commands (every op of one
- * HostInterface pump round), so non-FCFS policies have something to
- * arbitrate between.
+ * submitOps + drainTransactions + groupCompletion stay split for the
+ * one caller that accumulates a batch across commands — the plain I/O
+ * of a HostInterface pump round — so non-FCFS policies have something
+ * to arbitrate between.
  */
 
 #ifndef PARABIT_SSD_SSD_HPP_
@@ -104,10 +104,6 @@ class SsdDevice
      * after drainTransactions().
      */
     sched::TxGroup submitOps(const std::vector<PhysOp> &ops, Tick ready_at);
-
-    /** Queue in-flash array jobs, like submitOps(). */
-    sched::TxGroup submitArrayJobs(const std::vector<ArrayJob> &jobs,
-                                   Tick ready_at);
 
     /** Arbitrate and run every queued transaction to completion, then
      *  audit the registered invariant suites when the configured cadence

@@ -43,28 +43,6 @@ class Timeline
     /** Total booked (busy) time over the resource's lifetime. */
     Tick bookedTicks() const { return bookedTicks_; }
 
-    /**
-     * Busy fraction over [0, horizon).  A zero horizon yields 0; booked
-     * time past the horizon can push the ratio above 1.
-     */
-    double
-    utilization(Tick horizon) const
-    {
-        if (horizon == 0)
-        {
-            return 0.0;
-        }
-        return static_cast<double>(bookedTicks_) /
-               static_cast<double>(horizon);
-    }
-
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        bookedTicks_ = 0;
-    }
-
   private:
     Tick nextFree_ = 0;
     Tick bookedTicks_ = 0;

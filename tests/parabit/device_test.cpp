@@ -132,6 +132,45 @@ TEST(ParaBitDevice, UnmappedOperandIsDataLoss)
     EXPECT_EQ(ok.pages.at(0), ~x[0]);
 }
 
+TEST(ParaBitDevice, FailedChainStepEndsTheChainAsDataLoss)
+{
+    // Page 0 of the second operand was never written: that step fails,
+    // and every later step of page 0 ends with its input's status
+    // instead of computing on an empty page.  Page 1 computes.  The
+    // write-back skips the failed page, and the device keeps serving.
+    for (const Mode mode :
+         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+        ParaBitDevice dev(ssd::SsdConfig::tiny());
+        const auto a = pages(dev.ssd().config(), 2, 61);
+        const auto b = pages(dev.ssd().config(), 1, 62);
+        const auto c = pages(dev.ssd().config(), 2, 63);
+        const auto d = pages(dev.ssd().config(), 2, 64);
+        const auto old = pages(dev.ssd().config(), 2, 65);
+        dev.writeDataLsbOnly(0, a);
+        dev.writeDataLsbOnly(51, b); // LPN 50 stays unwritten
+        dev.writeDataLsbOnly(10, c);
+        dev.writeDataLsbOnly(20, d);
+        dev.writeData(300, old);
+
+        const ExecResult r = dev.bitwiseChain(
+            flash::BitwiseOp::kAnd, {0, 50, 10, 20}, 2, mode, true, 300);
+        EXPECT_EQ(r.status, ExecStatus::kDataLoss) << modeName(mode);
+        ASSERT_EQ(r.pages.size(), 2u);
+        EXPECT_TRUE(r.pages[0].empty());
+        EXPECT_EQ(r.pages[1], a[1] & b[0] & c[1] & d[1]);
+        EXPECT_EQ(dev.readData(300, 2),
+                  (std::vector<BitVector>{old[0], r.pages[1]}))
+            << modeName(mode);
+
+        const ExecResult next =
+            dev.bitwiseChain(flash::BitwiseOp::kXor, {0, 10, 20}, 2, mode);
+        ASSERT_EQ(next.status, ExecStatus::kOk) << modeName(mode);
+        EXPECT_EQ(next.pages,
+                  (std::vector<BitVector>{a[0] ^ c[0] ^ d[0],
+                                          a[1] ^ c[1] ^ d[1]}));
+    }
+}
+
 TEST(ParaBitDevice, ResultWriteBackPastHostCapacityIsRefused)
 {
     // A result range reaching an internal LPN is refused before anything

@@ -317,6 +317,39 @@ TEST(HostInterface, FormulaOverUnmappedLpnCompletesLikeARead)
     }
 }
 
+TEST(HostInterface, FailedChainStepCompletesAsReadError)
+{
+    // A three-operand formula whose first step reads a never-written
+    // LPN completes 0x281 without computing on the missing result, and
+    // the device keeps serving formulas.
+    for (const Mode mode :
+         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+        ParaBitDevice dev(ssd::SsdConfig::tiny());
+        std::vector<std::vector<BitVector>> ops;
+        for (const nvme::Lpn l : {0, 10, 20}) {
+            ops.push_back(pages(dev.ssd().config(), 1, 70 + l));
+            dev.writeDataLsbOnly(l, ops.back());
+        }
+        HostInterface host(dev, 1, 32, mode);
+        ASSERT_TRUE(host.submitFormula(
+            0, nvme::Formula::chain(flash::BitwiseOp::kAnd, {0, 50, 10}, 1)));
+        ASSERT_TRUE(host.submitFormula(
+            0, nvme::Formula::chain(flash::BitwiseOp::kOr, {0, 10, 20}, 1)));
+        host.pump();
+
+        const auto failed = host.reap(0);
+        ASSERT_TRUE(failed);
+        EXPECT_EQ(failed->status, nvme::kUnrecoveredReadError)
+            << modeName(mode);
+        EXPECT_TRUE(failed->pages.empty());
+        const auto ok = host.reap(0);
+        ASSERT_TRUE(ok);
+        EXPECT_TRUE(ok->ok()) << modeName(mode);
+        ASSERT_EQ(ok->pages.size(), 1u);
+        EXPECT_EQ(ok->pages[0], ops[0][0] | ops[1][0] | ops[2][0]);
+    }
+}
+
 TEST(HostInterface, LbaPastHostCapacityCompletesOutOfRange)
 {
     // The LPNs above host capacity belong to the controller's scratch
@@ -458,7 +491,9 @@ TEST(HostInterface, TimeoutAbortsThenRequeuedAttemptCompletes)
     dev.writeData(0, d);
 
     HostInterface host(dev, 1, 8);
-    host.setCommandTimeout(1); // 1 ps: the first attempt always times out
+    RetryPolicy p;
+    p.commandTimeout = 1; // 1 ps: the first attempt always times out
+    host.setRetryPolicy(p);
     ASSERT_TRUE(host.submitRead(0, 0));
     EXPECT_EQ(host.pump(), 2u) << "abort plus the requeued attempt";
 
@@ -482,7 +517,9 @@ TEST(HostInterface, FormulaTimeoutRequeuesWholeGroup)
     dev.writeData(10, y);
 
     HostInterface host(dev, 1, 16, Mode::kReAllocate);
-    host.setCommandTimeout(1);
+    RetryPolicy p;
+    p.commandTimeout = 1;
+    host.setRetryPolicy(p);
     nvme::Formula f;
     f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(0, 1),
                                           nvme::OperandRef::logical(10, 1),
@@ -592,7 +629,9 @@ TEST(HostInterface, AbortWhileArrayPhaseBookedKeepsSchedInvariants)
     dev.writeData(0, d);
 
     HostInterface host(dev, 1, 16);
-    host.setCommandTimeout(1);
+    RetryPolicy p;
+    p.commandTimeout = 1;
+    host.setRetryPolicy(p);
     for (nvme::Lpn l = 0; l < 4; ++l)
         ASSERT_TRUE(host.submitRead(0, l));
     ASSERT_TRUE(host.submitWrite(0, 1));

@@ -52,15 +52,6 @@ TEST(Timeline, PipelineOfTwoResources)
     EXPECT_EQ(last_end, 4 * sense + xfer);
 }
 
-TEST(Timeline, ResetClears)
-{
-    Timeline t;
-    t.reserve(0, 1000);
-    t.reset();
-    EXPECT_EQ(t.nextFree(), 0u);
-    EXPECT_EQ(t.reserve(0, 1), 0u);
-}
-
 TEST(Timeline, BusyTimeAccumulatesBookedDurations)
 {
     Timeline t;
@@ -69,23 +60,6 @@ TEST(Timeline, BusyTimeAccumulatesBookedDurations)
     t.reserve(500, 50); // idle gap 100-500 is not busy time
     EXPECT_EQ(t.bookedTicks(), 150u);
     EXPECT_EQ(t.nextFree(), 550u);
-}
-
-TEST(Timeline, UtilizationIsBusyOverHorizon)
-{
-    Timeline t;
-    t.reserve(0, 250);
-    EXPECT_DOUBLE_EQ(t.utilization(1000), 0.25);
-    EXPECT_DOUBLE_EQ(t.utilization(0), 0.0); // degenerate horizon
-}
-
-TEST(Timeline, ResetClearsBusyTime)
-{
-    Timeline t;
-    t.reserve(0, 123);
-    t.reset();
-    EXPECT_EQ(t.bookedTicks(), 0u);
-    EXPECT_DOUBLE_EQ(t.utilization(100), 0.0);
 }
 
 } // namespace
