@@ -25,13 +25,4 @@ Plane::blockIfExists(std::uint32_t b) const
     return it == blocks_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t
-Plane::totalErases() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[idx, blk] : blocks_)
-        n += blk.eraseCount();
-    return n;
-}
-
 } // namespace parabit::flash

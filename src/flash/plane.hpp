@@ -47,12 +47,6 @@ class Plane
     /** Block @p b if it has ever been touched, else nullptr. */
     const Block *blockIfExists(std::uint32_t b) const;
 
-    /** Number of blocks materialised so far. */
-    std::size_t touchedBlocks() const { return blocks_.size(); }
-
-    /** Sum of erase counts over touched blocks. */
-    std::uint64_t totalErases() const;
-
     bool storesData() const { return storeData_; }
 
     /** @name Fault state (driven by ssd::FaultInjector). */

@@ -28,6 +28,18 @@ planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c)
     return idx;
 }
 
+flash::PhysPageAddr
+planeAddr(const flash::FlashGeometry &g, PlaneIndex idx)
+{
+    const PlaneCoord c = planeCoord(g, idx);
+    flash::PhysPageAddr a;
+    a.channel = c.channel;
+    a.chip = c.chip;
+    a.die = c.die;
+    a.plane = c.plane;
+    return a;
+}
+
 Allocator::Allocator(const flash::FlashGeometry &geom)
     : geom_(geom), planes_(geom.planesTotal())
 {
@@ -153,12 +165,7 @@ Allocator::ensureBlock(PlaneState &ps, Cursor &cur)
 flash::PhysPageAddr
 Allocator::makeAddr(PlaneIndex plane, const Cursor &cur, bool msb) const
 {
-    const PlaneCoord c = planeCoord(geom_, plane);
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
+    flash::PhysPageAddr a = planeAddr(geom_, plane);
     a.block = static_cast<std::uint32_t>(cur.block);
     a.wordline = cur.wordline;
     a.msb = msb;

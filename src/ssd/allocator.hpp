@@ -42,6 +42,10 @@ struct PlaneCoord
 PlaneCoord planeCoord(const flash::FlashGeometry &g, PlaneIndex idx);
 PlaneIndex planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c);
 
+/** Address of page 0 of block 0 in plane @p idx: the base every
+ *  address inside that plane is built from. */
+flash::PhysPageAddr planeAddr(const flash::FlashGeometry &g, PlaneIndex idx);
+
 /** A co-located LSB/MSB page pair on one wordline. */
 struct PagePair
 {

@@ -87,15 +87,10 @@ Ftl::lpnAt(const flash::PhysPageAddr &a) const
     return it == reverse_.end() ? kNoLpn : it->second;
 }
 
-void
-Ftl::unmapPhys(const flash::PhysPageAddr &a)
+flash::PhysPageAddr
+Ftl::planeAt(PlaneIndex plane) const
 {
-    const std::uint64_t lin = flash::linearPageIndex(cfg_.geometry, a);
-    auto it = reverse_.find(lin);
-    if (it == reverse_.end())
-        return;
-    map_.erase(it->second);
-    reverse_.erase(it);
+    return planeAddr(cfg_.geometry, plane);
 }
 
 bool
@@ -165,13 +160,8 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const BitVector *data,
 bool
 Ftl::planeAlive(PlaneIndex plane)
 {
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    return chipAt(probe).planeOperational(pc.die, pc.plane);
+    const flash::PhysPageAddr at = planeAt(plane);
+    return chipAt(at).planeOperational(at.die, at.plane);
 }
 
 PlaneIndex
@@ -187,18 +177,117 @@ Ftl::pickAlivePlane()
 }
 
 void
-Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a, std::vector<PhysOp> &ops)
+Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a)
 {
-    // Invalidate any previous mapping of this LPN.
-    auto old = map_.find(lpn);
-    if (old != map_.end()) {
-        const flash::PhysPageAddr o = old->second;
-        invalidatePhys(o);
-        reverse_.erase(flash::linearPageIndex(cfg_.geometry, o));
+    const auto [it, fresh] = map_.try_emplace(lpn, a);
+    if (!fresh) {
+        // Invalidate the previous copy of this LPN.
+        invalidatePhys(it->second);
+        reverse_.erase(flash::linearPageIndex(cfg_.geometry, it->second));
+        it->second = a;
     }
-    (void)ops;
-    map_[lpn] = a;
     reverse_[flash::linearPageIndex(cfg_.geometry, a)] = lpn;
+}
+
+void
+Ftl::unmapLpn(Lpn lpn)
+{
+    const auto it = map_.find(lpn);
+    if (it == map_.end())
+        return;
+    invalidatePhys(it->second);
+    reverse_.erase(flash::linearPageIndex(cfg_.geometry, it->second));
+    map_.erase(it);
+}
+
+std::optional<flash::PhysPageAddr>
+Ftl::programInPlane(PlaneIndex plane, bool lsb_only, const BitVector *data,
+                    bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
+                    OobTag tag, bool scrambled)
+{
+    // A program failure retires the destination block, so retrying
+    // simply walks to the next pooled block.
+    const auto next = [&] {
+        return lsb_only ? alloc_.nextLsbOnly(plane) : alloc_.nextPage(plane);
+    };
+    auto a = next();
+    while (a && !powerLost_ &&
+           !programPhys(*a, data, for_gc, ops, lpn, tag, scrambled)) {
+        ++programRetries_;
+        a = next();
+    }
+    if (powerLost_)
+        return std::nullopt;
+    return a;
+}
+
+bool
+Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
+                   std::vector<PhysOp> &ops)
+{
+    flash::PhysPageAddr src = planeAt(plane);
+    src.block = block;
+    flash::Chip &chip = chipAt(src);
+    const flash::Block &blk = chip.plane(src.die, src.plane).block(block);
+    for (std::uint32_t wl = 0; wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
+        for (const bool msb : {false, true}) {
+            if (blk.pageState(wl, msb) != flash::PageState::kValid)
+                continue;
+            src.wordline = wl;
+            src.msb = msb;
+            const Lpn lpn = lpnAt(src);
+            if (powerBoundary(false) != PowerCut::kNone)
+                return false; // power cut: the block keeps its valid pages
+            BitVector data = chip.readPage(chipAddr(src));
+            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
+
+            // Out of relocation targets (full, or its blocks retired by
+            // faults) or power cut: the block must NOT be erased — its
+            // unmoved pages are still the only copy.  Degraded, not
+            // corrupted.
+            const auto dst = programInPlane(
+                plane, false, cfg_.storeData ? &data : nullptr, true, ops, lpn,
+                relocationTag(src, lpn),
+                lpn != kNoLpn && scrambledLpns_.count(lpn) > 0);
+            if (!dst) {
+                if (!powerLost_)
+                    logWarn("Ftl: no space to relocate block " +
+                            std::to_string(block) + " of plane " +
+                            std::to_string(plane) + "; block kept");
+                return false;
+            }
+            ++gcWrites_;
+            if (lpn == kNoLpn)
+                invalidatePhys(src); // an unmapped copy just moves
+            else
+                mapLpn(lpn, *dst); // invalidates src
+        }
+    }
+    // Journal the erase ahead of issuing it: after a checkpoint this
+    // block would otherwise be outside the bounded recovery scan even
+    // though it may be reused for fresh data.
+    const std::uint64_t id = linearBlockId(plane, block);
+    if (!journalAppend(JournalRecord{JournalRecord::Kind::kErase, 0, 0, id},
+                       ops) ||
+        powerBoundary(false) != PowerCut::kNone)
+        return false; // power cut: the block stays unerased (all invalid)
+    src.wordline = 0;
+    src.msb = false;
+    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, src, true});
+    if (chip.eraseBlock(src.die, src.plane, block)) {
+        ++erases_;
+        alloc_.noteErased(plane, block);
+    } else {
+        ++eraseFailures_;
+        alloc_.retireBlock(plane, block);
+        if (health_)
+            health_->noteRetiredBlock();
+        journalAppend(JournalRecord{JournalRecord::Kind::kRetire, 0, 0, id},
+                      ops);
+        logWarn("Ftl: erase failure, retired block " + std::to_string(block) +
+                " of plane " + std::to_string(plane));
+    }
+    return true;
 }
 
 void
@@ -209,14 +298,8 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
     inGc_ = true;
     ++gcRuns_;
 
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Chip &chip = chipAt(probe);
-    flash::Plane &pl = chip.plane(pc.die, pc.plane);
+    const flash::PhysPageAddr at = planeAt(plane);
+    const flash::Plane &pl = chipAt(at).plane(at.die, at.plane);
 
     // Greedy victim selection: the touched, non-active block with the
     // fewest valid pages (untouched blocks are still free).
@@ -235,115 +318,16 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
             victim = b;
         }
     }
-    if (victim < 0) {
-        inGc_ = false;
-        return;
-    }
-
-    // Relocate valid pages, then erase.
-    flash::Block &blk = pl.block(static_cast<std::uint32_t>(victim));
-    for (std::uint32_t wl = 0; wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
-        for (int m = 0; m < 2; ++m) {
-            const bool msb = m == 1;
-            if (blk.pageState(wl, msb) != flash::PageState::kValid)
-                continue;
-            flash::PhysPageAddr src = probe;
-            src.block = static_cast<std::uint32_t>(victim);
-            src.wordline = wl;
-            src.msb = msb;
-            const std::uint64_t lin =
-                flash::linearPageIndex(cfg_.geometry, src);
-            auto rit = reverse_.find(lin);
-            const Lpn lpn = rit != reverse_.end() ? rit->second : kNoLpn;
-
-            // Read the victim page.
-            if (powerBoundary(false) != PowerCut::kNone) {
-                inGc_ = false;
-                return; // power cut: the victim keeps its valid pages
-            }
-            BitVector data = chip.readPage(chipAddr(src));
-            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-
-            // Program it to a fresh page in the same plane.  A program
-            // failure retires the destination block, so retrying simply
-            // walks to the next pooled block.  When the plane runs out
-            // of relocation targets (full, or its blocks fault-retired)
-            // or power is cut, abort this GC: the victim keeps its
-            // remaining valid pages and is simply never erased —
-            // degraded, not corrupted.
-            auto dst = alloc_.nextPage(plane);
-            while (dst && !powerLost_ &&
-                   !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, relocationTag(src, lpn),
-                                lpn != kNoLpn &&
-                                    scrambledLpns_.count(lpn) > 0)) {
-                ++programRetries_;
-                dst = alloc_.nextPage(plane);
-            }
-            if (!dst || powerLost_) {
-                if (!powerLost_)
-                    logWarn("Ftl::collectGarbage: no space to relocate in "
-                            "plane " +
-                            std::to_string(plane) + "; aborting GC");
-                inGc_ = false;
-                return;
-            }
-            ++gcWrites_;
-
-            invalidatePhys(src);
-            if (rit != reverse_.end()) {
-                reverse_.erase(rit);
-                map_[lpn] = *dst;
-                reverse_[flash::linearPageIndex(cfg_.geometry, *dst)] = lpn;
-            }
-        }
-    }
-    // Journal the erase ahead of issuing it: after a checkpoint this
-    // block would otherwise be outside the bounded recovery scan even
-    // though it may be reused for fresh data.
-    flash::PhysPageAddr eaddr = probe;
-    eaddr.block = static_cast<std::uint32_t>(victim);
-    if (!journalAppend(
-            JournalRecord{JournalRecord::Kind::kErase, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(victim))},
-            ops) ||
-        powerBoundary(false) != PowerCut::kNone) {
-        inGc_ = false;
-        return; // power cut: the victim stays unerased (all invalid)
-    }
-    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, eaddr, true});
-    if (chip.eraseBlock(pc.die, pc.plane,
-                        static_cast<std::uint32_t>(victim))) {
-        ++erases_;
-        alloc_.noteErased(plane, static_cast<std::uint32_t>(victim));
-    } else {
-        ++eraseFailures_;
-        alloc_.retireBlock(plane, static_cast<std::uint32_t>(victim));
-        if (health_)
-            health_->noteRetiredBlock();
-        journalAppend(
-            JournalRecord{JournalRecord::Kind::kRetire, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(victim))},
-            ops);
-        logWarn("Ftl: erase failure, retired block " +
-                std::to_string(victim) + " of plane " +
-                std::to_string(plane));
-    }
+    if (victim >= 0)
+        evacuateBlock(plane, static_cast<std::uint32_t>(victim), ops);
     inGc_ = false;
 }
 
 std::uint32_t
 Ftl::eraseSpread(PlaneIndex plane)
 {
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Plane &pl = chipAt(probe).plane(pc.die, pc.plane);
+    const flash::PhysPageAddr at = planeAt(plane);
+    const flash::Plane &pl = chipAt(at).plane(at.die, at.plane);
     std::uint32_t lo = UINT32_MAX, hi = 0;
     for (std::uint32_t b = 0; b < cfg_.geometry.blocksPerPlane; ++b) {
         const flash::Block *blk = pl.blockIfExists(b);
@@ -360,14 +344,8 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
     if (cfg_.wearLevelThreshold == 0 || inGc_)
         return;
 
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Chip &chip = chipAt(probe);
-    flash::Plane &pl = chip.plane(pc.die, pc.plane);
+    const flash::PhysPageAddr at = planeAt(plane);
+    const flash::Plane &pl = chipAt(at).plane(at.die, at.plane);
 
     // Find the coldest block holding static (fully valid) data and the
     // overall wear range.
@@ -397,91 +375,7 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
     // thanks to FIFO recycling) free block, then recycle the cold one.
     inGc_ = true; // reuse the recursion guard: migration must not nest
     ++wearMoves_;
-    bool migrated_all = true;
-    flash::Block &blk = pl.block(static_cast<std::uint32_t>(coldest));
-    for (std::uint32_t wl = 0;
-         migrated_all && wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
-        for (int m = 0; m < 2; ++m) {
-            const bool msb = m == 1;
-            if (blk.pageState(wl, msb) != flash::PageState::kValid)
-                continue;
-            flash::PhysPageAddr src = probe;
-            src.block = static_cast<std::uint32_t>(coldest);
-            src.wordline = wl;
-            src.msb = msb;
-            const std::uint64_t lin =
-                flash::linearPageIndex(cfg_.geometry, src);
-            auto rit = reverse_.find(lin);
-            const Lpn lpn = rit != reverse_.end() ? rit->second : kNoLpn;
-
-            if (powerBoundary(false) != PowerCut::kNone) {
-                migrated_all = false; // power cut: keep the cold block
-                break;
-            }
-            BitVector data = chip.readPage(chipAddr(src));
-            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-            auto dst = alloc_.nextPage(plane);
-            while (dst && !powerLost_ &&
-                   !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, relocationTag(src, lpn),
-                                lpn != kNoLpn &&
-                                    scrambledLpns_.count(lpn) > 0)) {
-                ++programRetries_;
-                dst = alloc_.nextPage(plane);
-            }
-            if (!dst || powerLost_) {
-                // Out of relocation targets (or power cut): the cold
-                // block must NOT be erased — its unmigrated pages are
-                // still the only copy.
-                migrated_all = false;
-                break;
-            }
-            ++gcWrites_;
-            invalidatePhys(src);
-            if (rit != reverse_.end()) {
-                reverse_.erase(rit);
-                map_[lpn] = *dst;
-                reverse_[flash::linearPageIndex(cfg_.geometry, *dst)] = lpn;
-            }
-        }
-    }
-    if (!migrated_all) {
-        if (!powerLost_)
-            logWarn("Ftl: wear-level migration ran out of space in plane " +
-                    std::to_string(plane) + "; cold block kept");
-        inGc_ = false;
-        return;
-    }
-    flash::PhysPageAddr eaddr = probe;
-    eaddr.block = static_cast<std::uint32_t>(coldest);
-    if (!journalAppend(
-            JournalRecord{JournalRecord::Kind::kErase, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(coldest))},
-            ops) ||
-        powerBoundary(false) != PowerCut::kNone) {
-        inGc_ = false;
-        return; // power cut: the cold block stays unerased (all invalid)
-    }
-    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, eaddr, true});
-    if (chip.eraseBlock(pc.die, pc.plane,
-                        static_cast<std::uint32_t>(coldest))) {
-        ++erases_;
-        alloc_.noteErased(plane, static_cast<std::uint32_t>(coldest));
-    } else {
-        ++eraseFailures_;
-        alloc_.retireBlock(plane, static_cast<std::uint32_t>(coldest));
-        if (health_)
-            health_->noteRetiredBlock();
-        journalAppend(
-            JournalRecord{JournalRecord::Kind::kRetire, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(coldest))},
-            ops);
-        logWarn("Ftl: erase failure, retired block " +
-                std::to_string(coldest) + " of plane " +
-                std::to_string(plane));
-    }
+    evacuateBlock(plane, static_cast<std::uint32_t>(coldest), ops);
     inGc_ = false;
 }
 
@@ -513,6 +407,29 @@ Ftl::allocatePairOrGc(PlaneIndex plane, std::vector<PhysOp> &ops)
     return p;
 }
 
+std::optional<flash::PhysPageAddr>
+Ftl::placePage(std::optional<PlaneIndex> plane, bool lsb_only,
+               const BitVector *data, bool for_gc, std::vector<PhysOp> &ops,
+               Lpn lpn, OobTag tag, bool scrambled)
+{
+    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
+        if (powerLost_)
+            return std::nullopt;
+        // A plane full even after GC (e.g. fault-retired blocks) or a
+        // failed program costs a retry; unpinned, the next attempt
+        // strides to another plane.
+        const PlaneIndex p = plane ? *plane : pickAlivePlane();
+        const auto a = allocateOrGc(p, lsb_only, ops);
+        if (a && programPhys(*a, data, for_gc, ops, lpn, tag, scrambled))
+            return a;
+        ++programRetries_;
+    }
+    if (!powerLost_)
+        logWarn("Ftl: program retries exhausted for LPN " +
+                std::to_string(lpn));
+    return std::nullopt;
+}
+
 bool
 Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
 {
@@ -527,35 +444,18 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
         scrambler_.apply(whitened, lpn);
         payload = &whitened;
     }
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break; // cut: the write is never acknowledged
-        const PlaneIndex plane = pickAlivePlane();
-        const auto a = allocateOrGc(plane, false, ops);
-        if (!a) {
-            // Plane full even after GC (e.g. fault-retired blocks);
-            // the next attempt strides to another plane.
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, payload, false, ops, lpn, OobTag::kHostData,
-                         scramble)) {
-            ++programRetries_;
-            continue;
-        }
-        if (scramble)
-            scrambledLpns_.insert(lpn);
-        else
-            scrambledLpns_.erase(lpn);
-        ++hostWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
-    }
-    if (!powerLost_)
-        logWarn("Ftl::writePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
+    const auto a = placePage(std::nullopt, false, payload, false, ops, lpn,
+                             OobTag::kHostData, scramble);
+    if (!a)
+        return false; // a cut or exhausted retries: never acknowledged
+    if (scramble)
+        scrambledLpns_.insert(lpn);
+    else
+        scrambledLpns_.erase(lpn);
+    ++hostWrites_;
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return true;
 }
 
 BitVector
@@ -599,8 +499,7 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
 {
     if (powerLost_)
         return false;
-    auto it = map_.find(lpn);
-    if (it == map_.end())
+    if (map_.count(lpn) == 0)
         return true;
     // Write-ahead: the trim record must be durable before the mapping
     // is dropped, otherwise recovery would resurrect the page (its OOB
@@ -610,10 +509,7 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
     if (!journalAppend(JournalRecord{JournalRecord::Kind::kTrim, 0, lpn, 0},
                        o))
         return false; // cut before the record flushed: trim not acked
-    const flash::PhysPageAddr a = it->second;
-    invalidatePhys(a);
-    reverse_.erase(flash::linearPageIndex(cfg_.geometry, a));
-    map_.erase(it);
+    unmapLpn(lpn);
     scrambledLpns_.erase(lpn);
     // A buffered unpaired-LSB copy of this LPN must die with the trim,
     // or a later capacitor flush would resurrect the trimmed page.
@@ -629,14 +525,8 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
 void
 Ftl::releaseInternal(Lpn lpn)
 {
-    if (powerLost_)
-        return;
-    const auto it = map_.find(lpn);
-    if (it == map_.end())
-        return;
-    invalidatePhys(it->second);
-    reverse_.erase(flash::linearPageIndex(cfg_.geometry, it->second));
-    map_.erase(it);
+    if (!powerLost_)
+        unmapLpn(lpn);
 }
 
 std::optional<PagePair>
@@ -675,8 +565,8 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
         // ParaBit operands are stored raw (scrambling off, Sec 4.3.2).
         scrambledLpns_.erase(lpn_x);
         scrambledLpns_.erase(lpn_y);
-        mapLpn(lpn_x, pair->lsb, ops);
-        mapLpn(lpn_y, pair->msb, ops);
+        mapLpn(lpn_x, pair->lsb);
+        mapLpn(lpn_y, pair->msb);
         maybeCheckpoint(ops);
         return *pair;
     }
@@ -691,29 +581,15 @@ Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
 {
     if (plane && !planeAlive(*plane))
         return std::nullopt;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = plane ? *plane : pickAlivePlane();
-        const auto a = allocateOrGc(p, true, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, data, false, ops, lpn,
-                         OobTag::kParabitLsbOnly)) {
-            ++programRetries_;
-            continue;
-        }
-        ++parabitWrites_;
-        scrambledLpns_.erase(lpn);
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return *a;
-    }
-    if (!powerLost_)
-        logWarn("Ftl::writeLsbOnly: program retries exhausted");
-    return std::nullopt;
+    const auto a =
+        placePage(plane, true, data, false, ops, lpn, OobTag::kParabitLsbOnly);
+    if (!a)
+        return std::nullopt;
+    ++parabitWrites_;
+    scrambledLpns_.erase(lpn);
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return a;
 }
 
 bool
@@ -747,21 +623,14 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             const PlaneIndex p = planeIndex(
                 cfg_.geometry, PlaneCoord{lsb_addr.channel, lsb_addr.chip,
                                           lsb_addr.die, lsb_addr.plane});
-            // Suppress GC while placing the copy: a GC run here could
-            // relocate the very LSB we are protecting out from under
-            // the caller's placement decision.
-            const bool was_in_gc = inGc_;
-            inGc_ = true;
-            auto a = alloc_.nextLsbOnly(p);
-            while (a && !powerLost_ &&
-                   !programPhys(*a, cfg_.storeData ? &copy : nullptr, false,
-                                ops, lsb_lpn, OobTag::kPairBackup,
-                                scrambledLpns_.count(lsb_lpn) > 0)) {
-                ++programRetries_;
-                a = alloc_.nextLsbOnly(p);
-            }
-            inGc_ = was_in_gc;
-            if (!a || powerLost_)
+            // Placed without GC, so no GC run can relocate the very LSB
+            // we are protecting out from under the caller's placement
+            // decision.
+            const auto a = programInPlane(
+                p, true, cfg_.storeData ? &copy : nullptr, false, ops,
+                lsb_lpn, OobTag::kPairBackup,
+                scrambledLpns_.count(lsb_lpn) > 0);
+            if (!a)
                 return false; // cannot protect the LSB: refuse the drop
             backup = *a;
             ++parabitWrites_; // protocol overhead traffic
@@ -798,43 +667,9 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
     }
     ++parabitWrites_;
     scrambledLpns_.erase(lpn);
-    mapLpn(lpn, msb, ops);
+    mapLpn(lpn, msb);
     maybeCheckpoint(ops);
     return true;
-}
-
-bool
-Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
-                    bool lsb_only, std::vector<PhysOp> &ops)
-{
-    if (powerBoundary(false) != PowerCut::kNone)
-        return false;
-    BitVector data = chipAt(src).readPage(chipAddr(src));
-    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-    const bool scr = scrambledLpns_.count(lpn) > 0;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = pickAlivePlane();
-        const auto a = allocateOrGc(p, lsb_only, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, cfg_.storeData ? &data : nullptr, true, ops,
-                         lpn, tag, scr)) {
-            ++programRetries_;
-            continue;
-        }
-        ++refreshWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
-    }
-    if (!powerLost_)
-        logWarn("Ftl::refreshOnePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
 }
 
 bool
@@ -887,19 +722,29 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
     // move as GC-style copies with their scrambling flag intact.
     // Unmapped valid pages (pair backups mid-protocol) are left alone.
     bool ok = true;
-    if (lsb_valid && lsb_lpn != kNoLpn) {
-        const OobTag t = tag_of(lsb);
-        const bool lsb_only = t == OobTag::kParabitLsbOnly;
-        ok = refreshOnePage(lsb, lsb_lpn,
-                            lsb_only ? OobTag::kParabitLsbOnly
-                                     : relocationTag(lsb, lsb_lpn),
-                            lsb_only, ops) &&
-             ok;
+    for (const bool m : {false, true}) {
+        const flash::PhysPageAddr &src = m ? msb : lsb;
+        const Lpn lpn = m ? msb_lpn : lsb_lpn;
+        if (lpn == kNoLpn)
+            continue;
+        if (powerBoundary(false) != PowerCut::kNone)
+            return false;
+        BitVector data = chip.readPage(chipAddr(src));
+        ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
+        const bool lsb_only = !m && tag_of(src) == OobTag::kParabitLsbOnly;
+        const auto a = placePage(
+            std::nullopt, lsb_only, cfg_.storeData ? &data : nullptr, true,
+            ops, lpn,
+            lsb_only ? OobTag::kParabitLsbOnly : relocationTag(src, lpn),
+            scrambledLpns_.count(lpn) > 0);
+        if (!a) {
+            ok = false;
+            continue;
+        }
+        ++refreshWrites_;
+        mapLpn(lpn, *a);
+        maybeCheckpoint(ops);
     }
-    if (msb_valid && msb_lpn != kNoLpn)
-        ok = refreshOnePage(msb, msb_lpn, relocationTag(msb, msb_lpn), false,
-                            ops) &&
-             ok;
     return ok;
 }
 
@@ -909,30 +754,15 @@ Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
     auto it = map_.find(lpn);
     if (it == map_.end())
         return false;
-    const bool scr = scrambledLpns_.count(lpn) > 0;
-    const OobTag tag = relocationTag(it->second, lpn);
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = pickAlivePlane();
-        const auto a = allocateOrGc(p, false, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, data, true, ops, lpn, tag, scr)) {
-            ++programRetries_;
-            continue;
-        }
-        ++refreshWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
-    }
-    if (!powerLost_)
-        logWarn("Ftl::relocatePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
+    const auto a =
+        placePage(std::nullopt, false, data, true, ops, lpn,
+                  relocationTag(it->second, lpn), scrambledLpns_.count(lpn) > 0);
+    if (!a)
+        return false;
+    ++refreshWrites_;
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return true;
 }
 
 void
@@ -1084,7 +914,7 @@ Ftl::debugWriteHostTagged(Lpn lpn)
     const auto a = allocateOrGc(pickAlivePlane(), false, ops);
     if (!a || !programPhys(*a, nullptr, false, ops, lpn, OobTag::kHostData))
         return false;
-    mapLpn(lpn, *a, ops);
+    mapLpn(lpn, *a);
     return true;
 }
 

@@ -345,7 +345,8 @@ class Ftl
 
   private:
     flash::ChipPageAddr chipAddr(const flash::PhysPageAddr &a) const;
-    void unmapPhys(const flash::PhysPageAddr &a);
+    /** Page 0 of block 0 in @p plane (planeAddr for this device). */
+    flash::PhysPageAddr planeAt(PlaneIndex plane) const;
     /** Invalidate the physical page at @p a, folding it out of RAIN
      *  parity first (invalidate drops the payload the XOR needs).  The
      *  only invalidation gateway, as programPhys is for programs. */
@@ -354,12 +355,14 @@ class Ftl
      *  host page becomes kGcRelocated, an internal one keeps its ParaBit
      *  tag (ftl.host_isolation). */
     OobTag relocationTag(const flash::PhysPageAddr &src, Lpn lpn);
-    /** Relocate one page to @p plane with @p tag (refreshWordline's
-     *  per-page path); retries across retired blocks like GC. */
-    bool refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
-                        bool lsb_only, std::vector<PhysOp> &ops);
-    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a,
-                std::vector<PhysOp> &ops);
+    /** @name The map's only writers (besides the wholesale clears of
+     *  recovery and powerCycle, and debugCorruptMapping).  mapLpn
+     *  invalidates @p lpn's previous copy; unmapLpn invalidates its
+     *  copy and drops it (no-op when unmapped). */
+    /// @{
+    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a);
+    void unmapLpn(Lpn lpn);
+    /// @}
     /** Allocate in @p plane, running GC first if needed.  nullopt when
      *  the plane has no space even after GC (full, or its blocks were
      *  retired by faults) — callers retry elsewhere or fail typed. */
@@ -367,8 +370,42 @@ class Ftl
     allocateOrGc(PlaneIndex plane, bool lsb_only, std::vector<PhysOp> &ops);
     std::optional<PagePair> allocatePairOrGc(PlaneIndex plane,
                                              std::vector<PhysOp> &ops);
+    /** Greedy GC: evacuate the touched block with the fewest valid
+     *  pages. */
     void collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops);
+    /** Static wear leveling: evacuate the coldest data block once the
+     *  plane's erase spread reaches cfg_.wearLevelThreshold. */
     void maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops);
+    /**
+     * Move every valid page of @p block into @p plane's write cursor
+     * (relocationTag copies keeping the scrambling flag, remapped
+     * copy-then-remap), journal the erase ahead, then erase the block —
+     * an erase failure retires it instead.  @return false, leaving the
+     * block unerased with its unmoved pages still valid, on a power cut
+     * or when the plane runs out of relocation targets (one warning).
+     */
+    bool evacuateBlock(PlaneIndex plane, std::uint32_t block,
+                       std::vector<PhysOp> &ops);
+    /**
+     * The placement retry loop: up to kMaxProgramRetries attempts, each
+     * on @p plane (or the next operational striped plane), allocating
+     * through allocateOrGc and programming with programPhys; a full
+     * plane or a failed program counts a retry and tries again.
+     * @return the programmed address, or nullopt when power is lost or
+     * the retries are exhausted (one warning).
+     */
+    std::optional<flash::PhysPageAddr>
+    placePage(std::optional<PlaneIndex> plane, bool lsb_only,
+              const BitVector *data, bool for_gc, std::vector<PhysOp> &ops,
+              Lpn lpn, OobTag tag, bool scrambled = false);
+    /** Program into @p plane's next page (LSB-only cursor when
+     *  @p lsb_only) without running GC, walking past every block a
+     *  program failure retires.  nullopt when the plane runs out of
+     *  pages or power is lost. */
+    std::optional<flash::PhysPageAddr>
+    programInPlane(PlaneIndex plane, bool lsb_only, const BitVector *data,
+                   bool for_gc, std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
+                   bool scrambled);
     /** Program @p a (attempt is charged to @p ops either way) with OOB
      *  {@p lpn, fresh seq, @p tag, @p scrambled}; on an injected
      *  program failure the block is retired and false returned; on a

@@ -72,7 +72,7 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
             if (!programPhys(*a, e.data ? &*e.data : nullptr, false, ops,
                              e.lpn, OobTag::kHostData, e.scrambled))
                 continue;
-            mapLpn(e.lpn, *a, ops);
+            mapLpn(e.lpn, *a);
             if (e.scrambled)
                 scrambledLpns_.insert(e.lpn);
             placed = true;
@@ -112,12 +112,7 @@ Ftl::logAddr(int half, std::uint32_t idx) const
         blocks_per_half * cfg_.geometry.wordlinesPerBlock;
     const PlaneIndex p = idx / pages_per_plane;
     const std::uint32_t rem = idx % pages_per_plane;
-    const PlaneCoord c = planeCoord(cfg_.geometry, p);
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
+    flash::PhysPageAddr a = planeAt(p);
     a.block = cfg_.geometry.blocksPerPlane - r +
               static_cast<std::uint32_t>(half) * blocks_per_half +
               rem / cfg_.geometry.wordlinesPerBlock;
@@ -132,27 +127,22 @@ Ftl::eraseHalf(int half, std::vector<PhysOp> &ops)
     const std::uint32_t r = kReservedBlocksPerPlane;
     const std::uint32_t blocks_per_half = r / 2;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
         for (std::uint32_t i = 0; i < blocks_per_half; ++i) {
             const std::uint32_t b = cfg_.geometry.blocksPerPlane - r +
                                     static_cast<std::uint32_t>(half) *
                                         blocks_per_half +
                                     i;
-            flash::PhysPageAddr a;
-            a.channel = c.channel;
-            a.chip = c.chip;
-            a.die = c.die;
-            a.plane = c.plane;
+            flash::PhysPageAddr a = planeAt(p);
             a.block = b;
             flash::Chip &chip = chipAt(a);
             const flash::Block *blk =
-                chip.plane(c.die, c.plane).blockIfExists(b);
+                chip.plane(a.die, a.plane).blockIfExists(b);
             if (!blk || blk->freePages() == cfg_.geometry.pagesPerBlock())
                 continue; // nothing programmed: nothing to erase
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
             ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, a, false});
-            if (chip.eraseBlock(c.die, c.plane, b))
+            if (chip.eraseBlock(a.die, a.plane, b))
                 ++logErases_;
             else
                 logWarn("Ftl::eraseHalf: erase failure in the reserved "
@@ -393,15 +383,10 @@ Ftl::recover(std::vector<PhysOp> &ops)
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
             continue; // never scan the log region for data
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
+        flash::PhysPageAddr probe = planeAt(p);
         probe.block = b;
         const flash::Block *blk =
-            chipAt(probe).plane(c.die, c.plane).blockIfExists(b);
+            chipAt(probe).plane(probe.die, probe.plane).blockIfExists(b);
         if (!blk)
             continue;
         ++rep.blocksScanned;
@@ -472,8 +457,7 @@ Ftl::recover(std::vector<PhysOp> &ops)
             const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
             if (!oob || oob->lpn != lpn)
                 continue;
-            map_[lpn] = a;
-            reverse_[cand.phys] = lpn;
+            mapLpn(lpn, a);
             if (oob->scrambled)
                 scrambledLpns_.insert(lpn);
             break;
@@ -491,14 +475,9 @@ Ftl::recover(std::vector<PhysOp> &ops)
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
             continue;
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
+        flash::PhysPageAddr probe = planeAt(p);
         probe.block = b;
-        flash::Plane &pl = chipAt(probe).plane(c.die, c.plane);
+        flash::Plane &pl = chipAt(probe).plane(probe.die, probe.plane);
         flash::Block *blk = pl.blockIfExists(b) ? &pl.block(b) : nullptr;
         if (!blk)
             continue;
@@ -535,13 +514,8 @@ Ftl::rebuildAllocator()
     const std::uint32_t data_blocks =
         cfg_.geometry.blocksPerPlane - reserved;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
-        flash::Plane &pl = chipAt(probe).plane(c.die, c.plane);
+        const flash::PhysPageAddr probe = planeAt(p);
+        flash::Plane &pl = chipAt(probe).plane(probe.die, probe.plane);
         std::vector<std::uint32_t> free;
         for (std::uint32_t b = 0; b < data_blocks; ++b) {
             const flash::Block *blk = pl.blockIfExists(b);

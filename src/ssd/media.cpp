@@ -47,25 +47,19 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     if (ftl_->allocator().isReserved(plane_, block_) ||
         ftl_->allocator().isActiveBlock(plane_, block_))
         return;
-    const PlaneCoord c = planeCoord(g, plane_);
+    flash::PhysPageAddr a = planeAddr(g, plane_);
+    a.block = block_;
+    a.wordline = wl_;
     flash::Chip &chip =
-        (*chips_)[static_cast<std::size_t>(c.channel) * g.chipsPerChannel +
-                  c.chip];
-    const flash::Block *blk = chip.plane(c.die, c.plane).blockIfExists(block_);
+        (*chips_)[static_cast<std::size_t>(a.channel) * g.chipsPerChannel +
+                  a.chip];
+    const flash::Block *blk = chip.plane(a.die, a.plane).blockIfExists(block_);
     if (!blk)
         return; // never-programmed block: nothing to patrol
     ++s.wordlinesScanned;
     ++scanned_;
 
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
-    a.block = block_;
-    a.wordline = wl_;
-
-    if (!chip.planeOperational(c.die, c.plane)) {
+    if (!chip.planeOperational(a.die, a.plane)) {
         repairWordline(a, s, ops);
         return;
     }
@@ -75,7 +69,7 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     // free); the booked kScrubRead runs in the background class.
     bool any_valid = false;
     for (const bool msb : {false, true}) {
-        const flash::ChipPageAddr ca{c.die, c.plane, block_, wl_, msb};
+        const flash::ChipPageAddr ca{a.die, a.plane, block_, wl_, msb};
         if (chip.pageState(ca) != flash::PageState::kValid)
             continue;
         any_valid = true;
@@ -88,7 +82,7 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     if (!any_valid)
         return;
 
-    const flash::ChipPageAddr ca{c.die, c.plane, block_, wl_, false};
+    const flash::ChipPageAddr ca{a.die, a.plane, block_, wl_, false};
     const double rber = chip.predictedRber(ca);
     const std::uint64_t disturb = chip.wordlineDisturb(ca);
     const bool over_rber = rber >= cfg_.media.refreshRberThreshold;
